@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -35,6 +37,19 @@ namespace ndss {
 namespace {
 
 volatile uint64_t g_sink = 0;  // defeats dead-code elimination
+
+/// The CPU model string, so a checked-in report names the machine its
+/// numbers came from ("unknown" off Linux).
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t value = line.find_first_not_of(" \t:", 10);
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
+}
 
 struct Percentiles {
   double p50_us = 0;
@@ -245,7 +260,7 @@ uint64_t DecodeWholeList(const EncodedList& list, PostedWindow* out,
 }
 
 /// decode_block measures the calibrated dispatch (what queries run);
-/// decode_scalar and decode_simd pin each implementation so the nightly
+/// decode_scalar and decode_word pin each implementation so the nightly
 /// report shows both sides of the runtime choice on that machine. Every
 /// variant is verified bit-identical against the reference first.
 void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
@@ -268,10 +283,7 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
   };
   std::vector<Variant> variants = {{"decode_block", &DecodeWindowRun},
                                    {"decode_scalar", &DecodeWindowRunScalar}};
-#if defined(NDSS_VARINT_SIMD)
-  if (SimdWindowDecodeSupported()) {
-    variants.push_back({"decode_simd", &DecodeWindowRunSimd});
-  }
+#if defined(NDSS_VARINT_WORD)
   if (WordWindowDecodeSupported()) {
     variants.push_back({"decode_word", &DecodeWindowRunWord});
   }
@@ -452,6 +464,10 @@ int Run(int argc, char** argv) {
   PrintKernel(kernels.back());
 
   std::printf("\ndecode dispatch chose: %s\n", WindowDecodePathName());
+  const std::string cpu = CpuModel();
+  const uint64_t nproc = std::thread::hardware_concurrency();
+  std::printf("host: %s, %llu logical CPUs\n", cpu.c_str(),
+              static_cast<unsigned long long>(nproc));
 
   const EndToEnd e2e = BenchEndToEnd(quick);
   std::printf("end-to-end: %llu queries, %.1f QPS, p50 %.0f us, "
@@ -466,6 +482,10 @@ int Run(int argc, char** argv) {
     writer.Field("quick", quick);
     writer.Field("scale", bench::ScaleFactor());
     writer.Field("decode_path", std::string(WindowDecodePathName()));
+    writer.BeginObject("host");
+    writer.Field("cpu", cpu);
+    writer.Field("nproc", nproc);
+    writer.EndObject();
     writer.BeginArray("kernels");
     for (const KernelReport& r : kernels) {
       writer.BeginObject();

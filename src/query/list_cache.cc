@@ -4,18 +4,11 @@ namespace ndss {
 
 CrossQueryListCache::CrossQueryListCache(uint64_t budget_bytes,
                                          MemoryBudget* parent)
-    : budget_bytes_(budget_bytes),
-      shard_budget_(budget_bytes / kShards),
-      parent_(parent) {}
+    : budget_bytes_(budget_bytes), parent_(parent) {}
 
 CrossQueryListCache::~CrossQueryListCache() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (parent_ != nullptr && shard.bytes > 0) parent_->Release(shard.bytes);
-    shard.bytes = 0;
-    shard.map.clear();
-    shard.lru.clear();
-  }
+  const uint64_t bytes = bytes_.load(std::memory_order_relaxed);
+  if (parent_ != nullptr && bytes > 0) parent_->Release(bytes);
 }
 
 std::shared_ptr<CrossQueryListCache::Entry> CrossQueryListCache::GetOrCreate(
@@ -31,8 +24,19 @@ std::shared_ptr<CrossQueryListCache::Entry> CrossQueryListCache::GetOrCreate(
   return it->second.entry;
 }
 
+bool CrossQueryListCache::TryReserve(uint64_t need) {
+  uint64_t current = bytes_.load(std::memory_order_relaxed);
+  while (current + need <= budget_bytes_) {
+    if (bytes_.compare_exchange_weak(current, current + need,
+                                     std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void CrossQueryListCache::RetireLocked(Shard& shard, Slot& slot) {
-  shard.bytes -= slot.entry->bytes;
+  bytes_.fetch_sub(slot.entry->bytes, std::memory_order_relaxed);
   if (parent_ != nullptr) parent_->Release(slot.entry->bytes);
   shard.lru.erase(slot.lru_it);
   slot.resident = false;
@@ -50,32 +54,30 @@ bool CrossQueryListCache::Commit(const Key& key,
     return false;
   }
   const uint64_t need = entry->bytes;
-  if (need > shard_budget_) {
-    shard.map.erase(it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  while (shard.bytes + need > shard_budget_ && !shard.lru.empty()) {
+  // Evict this shard's LRU entries until the whole cache has room. Other
+  // shards are not touched (their mutexes are not held), so a commit can
+  // be refused while another shard holds evictable bytes; loading entries
+  // (not yet resident) cannot be evicted either. Later queries retry.
+  bool reserved = need <= budget_bytes_ && TryReserve(need);
+  while (!reserved && need <= budget_bytes_ && !shard.lru.empty()) {
     const Key victim_key = shard.lru.back();
     auto victim = shard.map.find(victim_key);
     RetireLocked(shard, victim->second);
     shard.map.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
+    reserved = TryReserve(need);
   }
-  if (shard.bytes + need > shard_budget_) {
-    // Loading entries (not yet resident) cannot be evicted; retry later.
-    shard.map.erase(it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (parent_ != nullptr && !parent_->Charge(need).ok()) {
+  if (reserved && parent_ != nullptr && !parent_->Charge(need).ok()) {
     // The server-wide budget is exhausted by other subsystems: serve the
     // current holders but do not retain.
+    bytes_.fetch_sub(need, std::memory_order_relaxed);
+    reserved = false;
+  }
+  if (!reserved) {
     shard.map.erase(it);
     invalidations_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  shard.bytes += need;
   shard.lru.push_front(key);
   it->second.lru_it = shard.lru.begin();
   it->second.resident = true;
@@ -116,9 +118,9 @@ CrossQueryListCache::Counters CrossQueryListCache::counters() const {
   c.insertions = insertions_.load(std::memory_order_relaxed);
   c.evictions = evictions_.load(std::memory_order_relaxed);
   c.invalidations = invalidations_.load(std::memory_order_relaxed);
+  c.bytes_used = bytes_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    c.bytes_used += shard.bytes;
     c.entries += shard.map.size();
   }
   return c;

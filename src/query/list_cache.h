@@ -36,14 +36,19 @@ namespace ndss {
 /// Each entry carries a std::once_flag, so across every concurrent request
 /// a distinct list is read from disk at most once: one loader runs the
 /// read while every waiter blocks on the flag, then all of them share the
-/// immutable decoded windows. Retention is accounted against the cache's
-/// byte budget (split across kShards independent LRU shards) and charged
-/// to an optional parent MemoryBudget — in ndss_serve, the server-wide
+/// immutable decoded windows. Retention is accounted against one byte
+/// budget for the whole cache (each of kShards shards evicts from its own
+/// LRU list) and charged to an optional parent MemoryBudget — in ndss_serve, the server-wide
 /// budget — so cached lists show up in the same governance hierarchy as
 /// inflight query memory. An entry that cannot be retained (budget full
 /// even after eviction, or the parent refuses the charge) is dropped from
 /// the map but stays readable by the queries already holding it; later
 /// queries will re-read and retry retention.
+///
+/// SearchBatch also dedups a batch's list reads through a batch-scoped
+/// instance (budget = the batch's cache budget, parent = its inflight
+/// budget) when no cross-query cache is given, so one loader protocol
+/// serves both lifetimes.
 ///
 /// Thread-safe. Readers of a loaded entry synchronize through call_once;
 /// the per-shard mutex only guards map/LRU bookkeeping.
@@ -51,11 +56,16 @@ class CrossQueryListCache {
  public:
   struct Key {
     uint64_t owner = 0;  ///< immutable-source id (never reused)
-    uint64_t list = 0;   ///< (func << 32) | min-hash token
+    uint64_t list = 0;   ///< ListId(func, min-hash token)
     bool operator==(const Key& other) const {
       return owner == other.owner && list == other.list;
     }
   };
+
+  /// The `list` half of a Key: hash function `func`'s list for `token`.
+  static uint64_t ListId(uint32_t func, uint32_t token) {
+    return (static_cast<uint64_t>(func) << 32) | token;
+  }
 
   struct Entry {
     std::once_flag once;
@@ -90,12 +100,12 @@ class CrossQueryListCache {
   /// touches the LRU. The caller runs the load under entry->once.
   std::shared_ptr<Entry> GetOrCreate(const Key& key);
 
-  /// Retains a loaded entry: evicts LRU entries until entry->bytes fits the
-  /// shard's budget share, charges the parent, and marks the entry
-  /// resident. Returns false (and removes `key` from the map, so a later
-  /// query retries) when it cannot fit; the entry's windows stay valid for
-  /// current holders either way. Must be called by the loader, at most
-  /// once, with entry->bytes set.
+  /// Retains a loaded entry: evicts this shard's LRU entries until
+  /// entry->bytes fits the cache's budget, charges the parent, and marks
+  /// the entry resident. Returns false (and removes `key` from the map, so
+  /// a later query retries) when it cannot fit; the entry's windows stay
+  /// valid for current holders either way. Must be called by the loader,
+  /// at most once, with entry->bytes set.
   bool Commit(const Key& key, const std::shared_ptr<Entry>& entry);
 
   /// Drops `key` iff it still maps to `entry`, so a later query can retry
@@ -138,21 +148,23 @@ class CrossQueryListCache {
     mutable std::mutex mu;
     std::unordered_map<Key, Slot, KeyHash> map;
     std::list<Key> lru;  ///< front = most recent, resident entries only
-    uint64_t bytes = 0;
   };
 
   Shard& ShardFor(const Key& key) {
     return shards_[KeyHash{}(key) % kShards];
   }
 
+  /// Adds `need` to the retained bytes iff the total stays within budget.
+  bool TryReserve(uint64_t need);
+
   /// Removes a resident slot's accounting (bytes, LRU, parent charge).
   /// Caller holds the shard mutex.
   void RetireLocked(Shard& shard, Slot& slot);
 
   const uint64_t budget_bytes_;
-  const uint64_t shard_budget_;  ///< budget_bytes_ / kShards
   MemoryBudget* const parent_;
   Shard shards_[kShards];
+  std::atomic<uint64_t> bytes_{0};  ///< retained bytes, all shards
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-
-#include <chrono>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/retry.h"
@@ -21,6 +20,11 @@
 namespace ndss {
 
 namespace {
+
+/// Owner id of a batch-scoped list cache. It holds one Searcher's lists
+/// only, so it needs no source identity, and 0 is the id no cross-query
+/// cache caller may use (it means "no cache identity").
+constexpr uint64_t kBatchScopedOwner = 0;
 
 /// True for outcomes imposed by the caller's QueryContext rather than by
 /// the data: they say nothing about the health of a list or a file.
@@ -299,132 +303,26 @@ std::vector<MatchSpan> MergeRectangles(
   return spans;
 }
 
-/// Per-batch cache of fully read pass-1 lists, keyed by (func, min-hash
-/// key). Bounded by a byte budget; lists beyond it are read directly.
-///
-/// Sharded for concurrent SearchBatch workers: a shard mutex only guards
-/// map lookup/insert, while each entry's std::once_flag serializes the
-/// actual disk read, preserving the batch guarantee that every distinct
-/// list is read at most once no matter how many threads want it. After
-/// call_once returns, the entry is immutable and read lock-free.
-struct Searcher::ListCache {
-  struct Entry {
-    std::once_flag once;
-    std::vector<PostedWindow> windows;
-    Status status = Status::OK();
-    bool stored = false;  ///< read succeeded and fit within the budget
-  };
-
-  /// Stored entries hold their Reserve charge until the batch ends; give it
-  /// back when the cache dies, or the bytes leak into the batch's inflight
-  /// budget ancestry (limits.inflight_parent) and strangle later batches.
-  /// Safe because the cache is declared after the inflight budget in
-  /// SearchBatch, so it is destroyed first.
-  ~ListCache() {
-    if (inflight != nullptr) {
-      inflight->Release(bytes.load(std::memory_order_relaxed));
-    }
-  }
-
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, std::shared_ptr<Entry>> map;
-  };
-  Shard shards[kShards];
-  std::atomic<uint64_t> bytes{0};
-  uint64_t budget = 0;
-  /// Optional batch-wide inflight budget (governed SearchBatch): cached
-  /// list bytes are accounted there alongside the per-query arenas.
-  MemoryBudget* inflight = nullptr;
-  /// Optional cross-query cache, consulted before this batch cache (see
-  /// BatchLimits::shared_cache). Lists it serves or loads never enter the
-  /// batch cache — the shared cache already dedupes the read.
-  CrossQueryListCache* shared = nullptr;
-  uint64_t shared_owner = 0;
-
-  static uint64_t Key(uint32_t func, Token token) {
-    return (static_cast<uint64_t>(func) << 32) | token;
-  }
-
-  std::shared_ptr<Entry> GetOrCreate(uint64_t key) {
-    Shard& shard = shards[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::shared_ptr<Entry>& entry = shard.map[key];
-    if (entry == nullptr) entry = std::make_shared<Entry>();
-    return entry;
-  }
-
-  /// Drops `key` iff it still maps to `entry`, so a later query can retry
-  /// the load. Used when a loader's own governance failure (deadline,
-  /// cancel, budget) poisoned the entry: that failure says nothing about
-  /// the list and must not fail other queries.
-  void Invalidate(uint64_t key, const std::shared_ptr<Entry>& entry) {
-    Shard& shard = shards[key % kShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second == entry) shard.map.erase(it);
-  }
-
-  /// Reserves `size` bytes of the budget; false when it does not fit (or
-  /// the batch inflight cap is reached — the list is then read directly).
-  bool Reserve(uint64_t size) {
-    uint64_t current = bytes.load(std::memory_order_relaxed);
-    while (current + size <= budget) {
-      if (bytes.compare_exchange_weak(current, current + size,
-                                      std::memory_order_relaxed)) {
-        if (inflight != nullptr && !inflight->Charge(size).ok()) {
-          bytes.fetch_sub(size, std::memory_order_relaxed);
-          return false;
-        }
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Unreserve(uint64_t size) {
-    bytes.fetch_sub(size, std::memory_order_relaxed);
-    if (inflight != nullptr) inflight->Release(size);
-  }
-};
-
 Result<SearchResult> Searcher::Search(std::span<const Token> query,
                                       const SearchOptions& options) {
   SearchResult result;
   NDSS_RETURN_NOT_OK(
-      SearchInternal(query, options, nullptr, nullptr, &result));
+      SearchInternal(query, options, nullptr, 0, nullptr, &result));
   return result;
 }
 
 Status Searcher::Search(std::span<const Token> query,
                         const SearchOptions& options, const QueryContext* ctx,
-                        SearchResult* result) {
-  if (result == nullptr) {
-    return Status::InvalidArgument("result must be non-null");
-  }
-  *result = SearchResult();
-  return SearchInternal(query, options, nullptr, ctx, result);
-}
-
-Status Searcher::Search(std::span<const Token> query,
-                        const SearchOptions& options, const QueryContext* ctx,
+                        SearchResult* result,
                         CrossQueryListCache* shared_cache,
-                        uint64_t shared_cache_owner, SearchResult* result) {
+                        uint64_t shared_cache_owner) {
   if (result == nullptr) {
     return Status::InvalidArgument("result must be non-null");
   }
   *result = SearchResult();
-  if (shared_cache == nullptr || shared_cache_owner == 0) {
-    return SearchInternal(query, options, nullptr, ctx, result);
-  }
-  // A budget-0 batch cache retains nothing itself (every Reserve fails, so
-  // lists the shared cache does not serve are read directly); it only
-  // carries the cross-query cache into the pass-1 loop.
-  ListCache cache;
-  cache.shared = shared_cache;
-  cache.shared_owner = shared_cache_owner;
-  return SearchInternal(query, options, &cache, ctx, result);
+  if (shared_cache_owner == kBatchScopedOwner) shared_cache = nullptr;
+  return SearchInternal(query, options, shared_cache, shared_cache_owner, ctx,
+                        result);
 }
 
 Result<std::vector<SearchResult>> Searcher::SearchBatch(
@@ -457,12 +355,15 @@ Result<BatchResult> Searcher::SearchBatch(
   // Unlimited (accounting only) unless max_inflight_bytes is set. A fan-out
   // layer may parent it so one cap spans every sub-batch.
   MemoryBudget inflight(limits.max_inflight_bytes, limits.inflight_parent);
-  ListCache cache;
-  cache.budget = cache_budget_bytes;
-  cache.inflight = &inflight;
-  if (limits.shared_cache != nullptr && limits.shared_cache_owner != 0) {
-    cache.shared = limits.shared_cache;
-    cache.shared_owner = limits.shared_cache_owner;
+  // Pass-1 dedup: the cross-query cache alone when one is given, else a
+  // batch-scoped cache. Declared after `inflight`, so it is destroyed first
+  // and hands its retained bytes back to the inflight ancestry.
+  std::optional<CrossQueryListCache> batch_cache;
+  CrossQueryListCache* cache = limits.shared_cache;
+  uint64_t cache_owner = limits.shared_cache_owner;
+  if (cache == nullptr || cache_owner == kBatchScopedOwner) {
+    cache = &batch_cache.emplace(cache_budget_bytes, &inflight);
+    cache_owner = kBatchScopedOwner;
   }
 
   const bool has_batch_deadline =
@@ -495,8 +396,8 @@ Result<BatchResult> Searcher::SearchBatch(
     }
     MemoryBudget arena(limits.max_query_bytes, &inflight);
     ctx.set_memory_budget(&arena);
-    batch.statuses[i] =
-        SearchInternal(queries[i], options, &cache, &ctx, &batch.results[i]);
+    batch.statuses[i] = SearchInternal(queries[i], options, cache,
+                                       cache_owner, &ctx, &batch.results[i]);
   };
 
   if (num_threads <= 1 || queries.size() <= 1) {
@@ -545,8 +446,9 @@ Result<BatchResult> Searcher::SearchBatch(
 }
 
 Status Searcher::SearchInternal(std::span<const Token> query,
-                                const SearchOptions& options, ListCache* cache,
-                                const QueryContext* ctx,
+                                const SearchOptions& options,
+                                CrossQueryListCache* cache,
+                                uint64_t cache_owner, const QueryContext* ctx,
                                 SearchResult* result) {
   constexpr uint32_t kNoFunc = 0xffffffffu;
   Stopwatch wall;
@@ -559,8 +461,8 @@ Status Searcher::SearchInternal(std::span<const Token> query,
     // a concurrent query mid-attempt does not change this attempt's view.
     const std::vector<InvertedListSource*> snapshot = SnapshotSources();
     uint32_t failed_func = kNoFunc;
-    status =
-        SearchOnce(query, options, cache, snapshot, ctx, &failed_func, result);
+    status = SearchOnce(query, options, cache, cache_owner, snapshot, ctx,
+                        &failed_func, result);
     if (status.ok() || failed_func == kNoFunc || !options.allow_degraded) {
       break;
     }
@@ -576,7 +478,8 @@ Status Searcher::SearchInternal(std::span<const Token> query,
 }
 
 Status Searcher::SearchOnce(std::span<const Token> query,
-                            const SearchOptions& options, ListCache* cache,
+                            const SearchOptions& options,
+                            CrossQueryListCache* cache, uint64_t cache_owner,
                             const std::vector<InvertedListSource*>& sources,
                             const QueryContext* ctx, uint32_t* failed_func,
                             SearchResult* result_out) {
@@ -703,8 +606,13 @@ Status Searcher::SearchOnce(std::span<const Token> query,
   // have touched (the partial-stats contract).
   NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
 
-  // Pass 1: scan the short lists fully, through the batch cache if one is
-  // active (each distinct list is read from disk at most once per batch).
+  // Pass 1: scan the short lists fully, through the list cache if one is
+  // active (one loader reads a list; every other user shares its windows).
+  // A hit counts as a cache_hit on a batch-scoped cache and as a
+  // shared_cache_hit on the cross-query cache.
+  uint32_t& hits = cache_owner == kBatchScopedOwner
+                       ? result.stats.cache_hits
+                       : result.stats.shared_cache_hits;
   Stopwatch io;
   std::vector<PostedWindow> windows;
   for (const ListRef& ref : short_lists) {
@@ -714,18 +622,15 @@ Status Searcher::SearchOnce(std::span<const Token> query,
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     NDSS_RETURN_NOT_OK(
         arena.Charge(ref.meta->count * sizeof(PostedWindow)));
-    if (cache != nullptr && cache->shared != nullptr) {
-      // Cross-query cache first: one read serves every request that wants
-      // this list, across batches, until the owning source is retired.
-      CrossQueryListCache* shared = cache->shared;
-      const CrossQueryListCache::Key skey{
-          cache->shared_owner, ListCache::Key(ref.func, ref.meta->key)};
+    if (cache != nullptr) {
+      const CrossQueryListCache::Key key{
+          cache_owner, CrossQueryListCache::ListId(ref.func, ref.meta->key)};
       std::shared_ptr<CrossQueryListCache::Entry> entry =
-          shared->GetOrCreate(skey);
+          cache->GetOrCreate(key);
       bool loaded_here = false;
       std::call_once(entry->once, [&] {
         loaded_here = true;
-        shared->RecordMiss();
+        cache->RecordMiss();
         entry->windows.reserve(ref.meta->count);
         entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
                                          &entry->windows, &io_bytes, ctx,
@@ -736,81 +641,32 @@ Status Searcher::SearchOnce(std::span<const Token> query,
         entry->stored = true;
         // Retention is best-effort: a full budget serves this query (and
         // its waiters) from the loaded entry without keeping it.
-        shared->Commit(skey, entry);
+        cache->Commit(key, entry);
       });
-      if (!entry->status.ok()) {
-        // Failed loads never stay cached: drop the key (iff it still maps
-        // to this entry) so a later query retries the read.
-        shared->Abandon(skey, entry);
-        if (IsGovernanceStatus(entry->status)) {
-          if (loaded_here) {
-            // This query's own limits aborted the load; that says nothing
-            // about the list.
-            return entry->status;
-          }
-          // Another query's limits poisoned the entry — fall through to
-          // the batch cache / direct read.
-        } else {
-          // A bad list fails every query that touched the entry the same
-          // way, so degraded retries agree on which function to drop.
-          if (entry->status.IsCorruption()) *failed_func = ref.func;
-          return entry->status;
-        }
-      } else if (entry->stored) {
+      if (entry->status.ok()) {
         windows.insert(windows.end(), entry->windows.begin(),
                        entry->windows.end());
         if (!loaded_here) {
           // The hit belongs to the query that avoided the read; the
           // loader already counted the miss and its io_bytes.
-          ++result.stats.shared_cache_hits;
-          shared->RecordHit();
+          ++hits;
+          cache->RecordHit();
         }
         continue;
       }
-    }
-    if (cache != nullptr) {
-      const uint64_t key = ListCache::Key(ref.func, ref.meta->key);
-      std::shared_ptr<ListCache::Entry> entry = cache->GetOrCreate(key);
-      bool loaded_here = false;
-      std::call_once(entry->once, [&] {
-        loaded_here = true;
-        const uint64_t list_bytes = ref.meta->count * sizeof(PostedWindow);
-        if (!cache->Reserve(list_bytes)) return;  // over budget: stays direct
-        entry->windows.reserve(ref.meta->count);
-        entry->status = ReadListRetrying(sources[ref.func], *ref.meta,
-                                         &entry->windows, &io_bytes, ctx,
-                                         options.read_retry);
-        if (!entry->status.ok()) {
-          cache->Unreserve(list_bytes);
-          return;
-        }
-        entry->stored = true;
-      });
-      if (!entry->status.ok()) {
-        if (IsGovernanceStatus(entry->status)) {
-          if (loaded_here) {
-            // This query's own limits aborted the load. Drop the entry so
-            // a later query can retry the read.
-            cache->Invalidate(key, entry);
-            return entry->status;
-          }
-          // Another query's limits poisoned the entry; that says nothing
-          // about the list — read it directly.
-        } else {
-          // The loader (this query or another) hit a bad list; every query
-          // touching the entry fails the same way so degraded retries
-          // agree on which function to drop.
-          if (entry->status.IsCorruption()) *failed_func = ref.func;
-          return entry->status;
-        }
-      } else if (entry->stored) {
-        windows.insert(windows.end(), entry->windows.begin(),
-                       entry->windows.end());
-        if (!loaded_here) ++result.stats.cache_hits;
-        continue;
+      // Failed loads never stay cached: drop the key (iff it still maps to
+      // this entry) so a later query retries the read.
+      cache->Abandon(key, entry);
+      if (!IsGovernanceStatus(entry->status)) {
+        // A bad list fails every query that touched the entry the same
+        // way, so degraded retries agree on which function to drop.
+        if (entry->status.IsCorruption()) *failed_func = ref.func;
+        return entry->status;
       }
-      // Over budget (or governance-poisoned by another query): fall
-      // through to an uncached direct read.
+      // A governance failure says nothing about the list: this query's own
+      // limits aborted the load, or another query's limits poisoned the
+      // entry and this query reads the list directly below.
+      if (loaded_here) return entry->status;
     }
     Status read = ReadListRetrying(sources[ref.func], *ref.meta, &windows,
                                    &io_bytes, ctx, options.read_retry);

@@ -102,7 +102,8 @@ struct SearchStats {
   uint32_t short_lists = 0;       ///< lists scanned fully (pass 1)
   uint32_t long_lists = 0;        ///< lists handled by zone-map probes
   uint32_t empty_lists = 0;       ///< query min-hash keys absent from index
-  uint32_t cache_hits = 0;        ///< pass-1 lists served from a batch cache
+  uint32_t cache_hits = 0;        ///< pass-1 lists served from the
+                                  ///< batch-scoped list cache (no IO)
   uint32_t shared_cache_hits = 0; ///< pass-1 lists served from the
                                   ///< cross-query list cache (no IO)
   uint64_t windows_scanned = 0;   ///< windows fed to CollisionCount
@@ -156,9 +157,11 @@ struct BatchLimits {
   /// ResourceExhausted; the rest of the batch is unaffected.
   uint64_t max_query_bytes = 0;
 
-  /// Cap on batch-wide in-flight memory: the shared list cache plus every
-  /// live query arena. Cache inserts beyond it fall back to direct reads;
-  /// query charges beyond it fail that query with ResourceExhausted.
+  /// Cap on batch-wide in-flight memory: the batch-scoped list cache plus
+  /// every live query arena. The cache charges a list after reading it, so
+  /// a list that would exceed the cap is served but not retained (later
+  /// users read it again); query charges beyond it fail that query with
+  /// ResourceExhausted.
   uint64_t max_inflight_bytes = 0;
 
   ShedPolicy shed_policy = ShedPolicy::kCancelRunning;
@@ -174,16 +177,18 @@ struct BatchLimits {
   bool has_batch_deadline = false;
   QueryContext::Clock::time_point batch_deadline{};
 
-  /// Optional parent of this batch's inflight budget (shared list cache +
-  /// live query arenas), so one cross-searcher cap spans every sub-batch.
-  /// Observed, not owned; must outlive the SearchBatch call.
+  /// Optional parent of this batch's inflight budget (batch-scoped list
+  /// cache + live query arenas), so one cross-searcher cap spans every
+  /// sub-batch. Observed, not owned; must outlive the SearchBatch call.
   MemoryBudget* inflight_parent = nullptr;
 
-  /// Optional cross-query list cache (see CrossQueryListCache): pass-1
-  /// lists are looked up there first, under `shared_cache_owner` — the
-  /// immutable-source id of the Searcher this batch runs against. Observed,
-  /// not owned; must outlive the SearchBatch call. Requires a non-zero
-  /// owner id (owner 0 means "no cache identity" and disables the lookup).
+  /// Optional cross-query list cache (see CrossQueryListCache): when set,
+  /// pass-1 lists are read through it instead of a batch-scoped cache,
+  /// under `shared_cache_owner` — the immutable-source id of the Searcher
+  /// this batch runs against — and its hits count as shared_cache_hits.
+  /// Observed, not owned; must outlive the SearchBatch call. Requires a
+  /// non-zero owner id (owner 0 means "no cache identity" and disables the
+  /// lookup).
   CrossQueryListCache* shared_cache = nullptr;
   uint64_t shared_cache_owner = 0;
 };
@@ -264,25 +269,24 @@ class Searcher {
   /// partial SearchStats (lists classified, bytes read, windows scanned so
   /// far) survive for observability, which the Result-returning overload
   /// cannot express.
-  Status Search(std::span<const Token> query, const SearchOptions& options,
-                const QueryContext* ctx, SearchResult* result);
-
-  /// Governed variant that additionally consults `shared_cache` for pass-1
-  /// lists under `shared_cache_owner` — the immutable-source id naming this
-  /// Searcher in the cache's keyspace (0 means "no cache identity" and
-  /// disables the lookup, making this identical to the overload above).
-  /// Matches and spans are bit-identical with or without the cache; only
-  /// SearchStats IO attribution changes (a served list counts a
+  ///
+  /// Optionally consults `shared_cache` for pass-1 lists under
+  /// `shared_cache_owner` — the immutable-source id naming this Searcher in
+  /// the cache's keyspace (0 means "no cache identity" and disables the
+  /// lookup). Matches and spans are bit-identical with or without the
+  /// cache; only SearchStats IO attribution changes (a served list counts a
   /// shared_cache_hit instead of io_bytes).
   Status Search(std::span<const Token> query, const SearchOptions& options,
-                const QueryContext* ctx, CrossQueryListCache* shared_cache,
-                uint64_t shared_cache_owner, SearchResult* result);
+                const QueryContext* ctx, SearchResult* result,
+                CrossQueryListCache* shared_cache = nullptr,
+                uint64_t shared_cache_owner = 0);
 
-  /// Runs many queries with a shared pass-1 list cache: Zipfian token
-  /// skew makes nearby queries hit the same min-hash keys, so each
-  /// distinct list is read from disk at most once per batch (the workload
-  /// shape of the Section 5 evaluation, which issues one query per sliding
-  /// window). With `num_threads > 1` the queries are partitioned across an
+  /// Runs many queries through a batch-scoped pass-1 list cache (a
+  /// CrossQueryListCache of `cache_budget_bytes` that lives for the call):
+  /// Zipfian token skew makes nearby queries hit the same min-hash keys, so
+  /// a distinct list is read from disk once per batch while the budget
+  /// retains it (the workload shape of the Section 5 evaluation, which
+  /// issues one query per sliding window). With `num_threads > 1` the queries are partitioned across an
   /// internal thread pool; matches and spans are identical to the
   /// sequential run and returned in input order. Per-query SearchStats
   /// attribute each list read to the query that performed it (a cached
@@ -298,7 +302,7 @@ class Searcher {
       uint64_t cache_budget_bytes = 256ull << 20, size_t num_threads = 1);
 
   /// Governed batch: admission control and load shedding on top of the
-  /// shared-cache batch above. Every query runs under its own QueryContext
+  /// cached batch above. Every query runs under its own QueryContext
   /// derived from `limits` (per-query deadline, per-query arena parented to
   /// a batch-wide inflight budget); once the batch deadline passes,
   /// unstarted queries are shed and — under ShedPolicy::kCancelRunning —
@@ -331,7 +335,6 @@ class Searcher {
   uint32_t degraded_funcs() const;
 
  private:
-  struct ListCache;
   struct DegradedState;
 
   Searcher(IndexMeta meta, SketchScheme scheme,
@@ -346,16 +349,19 @@ class Searcher {
   void DropFunc(uint32_t func, const Status& cause);
 
   /// Full search (degraded retries included) writing into `*result`; on
-  /// failure the partial stats computed so far are left in place.
+  /// failure the partial stats computed so far are left in place. Pass-1
+  /// lists go through `cache` under `cache_owner` (nullptr = direct reads;
+  /// owner 0 = a batch-scoped cache, whose hits count as cache_hits).
   Status SearchInternal(std::span<const Token> query,
-                        const SearchOptions& options, ListCache* cache,
+                        const SearchOptions& options,
+                        CrossQueryListCache* cache, uint64_t cache_owner,
                         const QueryContext* ctx, SearchResult* result);
 
   /// One search attempt over the `sources` snapshot. On a list checksum
   /// failure, reports the offending function via `failed_func` so
   /// SearchInternal can drop it and retry when degradation is allowed.
   Status SearchOnce(std::span<const Token> query, const SearchOptions& options,
-                    ListCache* cache,
+                    CrossQueryListCache* cache, uint64_t cache_owner,
                     const std::vector<InvertedListSource*>& sources,
                     const QueryContext* ctx, uint32_t* failed_func,
                     SearchResult* result);

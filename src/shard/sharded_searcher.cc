@@ -472,8 +472,8 @@ Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
     if (ctx == nullptr) {
       // Ungoverned fast path, bit-identical to the pre-governance shard
       // query.
-      sub.status = searcher->Search(query, search_options, nullptr, cache,
-                                    owner, &sub.result);
+      sub.status = searcher->Search(query, search_options, nullptr,
+                                    &sub.result, cache, owner);
       return;
     }
     // Hierarchical governance: the deadline and cancel flag are shared
@@ -485,8 +485,8 @@ Status ShardedSearcher::State::SearchImpl(std::span<const Token> query,
     child.set_cancel_flag(ctx->cancel_flag());
     MemoryBudget arena(0, ctx->memory_budget());
     if (ctx->memory_budget() != nullptr) child.set_memory_budget(&arena);
-    sub.status = searcher->Search(query, search_options, &child, cache, owner,
-                                  &sub.result);
+    sub.status = searcher->Search(query, search_options, &child, &sub.result,
+                                  cache, owner);
   });
   const Status status = GatherQuery(*topo, subs, result);
   result->stats.wall_seconds = wall.ElapsedSeconds();

@@ -76,6 +76,18 @@ TEST(ListCacheTest, EvictsLruToStayWithinBudget) {
   EXPECT_GT(c.entries, 0u) << "eviction must not empty the cache";
 }
 
+TEST(ListCacheTest, OneBudgetForTheWholeCache) {
+  // The budget is not split across the LRU shards: a list bigger than a
+  // shard's share of it is still retained while the whole cache has room.
+  constexpr uint64_t kBudget = 4096;
+  CrossQueryListCache cache(kBudget);
+  std::shared_ptr<Entry> entry = Load(cache, Key{1, 1}, 200);
+  ASSERT_LE(entry->bytes, kBudget);
+  const CrossQueryListCache::Counters c = cache.counters();
+  EXPECT_EQ(c.insertions, 1u);
+  EXPECT_EQ(c.bytes_used, entry->bytes);
+}
+
 TEST(ListCacheTest, ParentChargedAndFullyReleased) {
   MemoryBudget parent(0);  // accounting only
   {
@@ -264,12 +276,32 @@ TEST_F(ListCacheServingTest, CachedBatchesBitIdenticalAndHitOnRepeat) {
     EXPECT_EQ((*second)[q].stats.shared_cache_hits,
               static_cast<uint64_t>((*second)[q].stats.short_lists))
         << q;
+    // With the cross-query cache on, it is the batch's only list cache:
+    // no hit may land in the batch-scoped counter.
+    EXPECT_EQ((*first)[q].stats.cache_hits, 0u) << q;
+    EXPECT_EQ((*second)[q].stats.cache_hits, 0u) << q;
   }
   EXPECT_GT(second_hits, 0u);
   const CrossQueryListCache* cache = cached->list_cache();
   ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->counters().hits, 0u);
   EXPECT_GT(cache->counters().misses, 0u);
+
+  // Without one, a batch dedups through its batch-scoped cache: repeated
+  // queries hit it, and those hits never count as cross-query hits.
+  std::vector<std::vector<Token>> repeated = queries_;
+  repeated.insert(repeated.end(), queries_.begin(), queries_.end());
+  auto batch = uncached->SearchBatch(repeated, search_options());
+  ASSERT_TRUE(batch.ok());
+  uint64_t batch_hits = 0;
+  for (size_t q = 0; q < repeated.size(); ++q) {
+    EXPECT_EQ(Fingerprint((*batch)[q]),
+              Fingerprint((*expect)[q % queries_.size()]))
+        << q;
+    batch_hits += (*batch)[q].stats.cache_hits;
+    EXPECT_EQ((*batch)[q].stats.shared_cache_hits, 0u) << q;
+  }
+  EXPECT_GT(batch_hits, 0u);
 }
 
 TEST_F(ListCacheServingTest, SingleQueryPathHitsTheCache) {

@@ -4,6 +4,7 @@
 
 #include "corpusgen/synthetic.h"
 #include "index/index_builder.h"
+#include "query/list_cache.h"
 #include "query/searcher.h"
 
 namespace ndss {
@@ -170,6 +171,50 @@ TEST_F(SearchBatchTest, InflightParentReleasedAfterExhaustedBatch) {
     EXPECT_EQ(parent.used(), 0u)
         << "round " << round << " leaked cached-list bytes into the parent";
   }
+}
+
+TEST_F(SearchBatchTest, OverBudgetListsServedButNotRetained) {
+  // The batch-scoped cache's budget is smaller than any list's accounted
+  // size, so every Commit is refused: each loader serves its own query
+  // (and any concurrent waiter) from the loaded entry without retaining
+  // it. Answers must not notice, and refused entries must leave no charge
+  // behind in the inflight ancestry.
+  auto searcher = Searcher::Open(dir_);
+  ASSERT_TRUE(searcher.ok());
+  SearchOptions options;
+  options.theta = 0.7;
+  std::vector<std::vector<Token>> doubled = queries_;
+  doubled.insert(doubled.end(), queries_.begin(), queries_.end());
+  auto expected = searcher->SearchBatch(doubled, options, /*cache=*/0,
+                                        /*num_threads=*/1);
+  ASSERT_TRUE(expected.ok());
+
+  MemoryBudget parent(0);
+  BatchLimits limits;
+  limits.inflight_parent = &parent;
+  const uint64_t budget =
+      sizeof(PostedWindow) + CrossQueryListCache::kEntryOverhead - 1;
+  auto batch = searcher->SearchBatch(doubled, options, limits, budget,
+                                     /*num_threads=*/4);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->stats.queries_ok, doubled.size());
+  for (size_t q = 0; q < doubled.size(); ++q) {
+    const SearchResult& got = batch->results[q];
+    const SearchResult& want = (*expected)[q];
+    ASSERT_EQ(got.rectangles.size(), want.rectangles.size()) << "q=" << q;
+    for (size_t i = 0; i < want.rectangles.size(); ++i) {
+      EXPECT_EQ(got.rectangles[i].text, want.rectangles[i].text);
+      EXPECT_EQ(got.rectangles[i].rect, want.rectangles[i].rect);
+    }
+    ASSERT_EQ(got.spans.size(), want.spans.size()) << "q=" << q;
+    for (size_t i = 0; i < want.spans.size(); ++i) {
+      EXPECT_EQ(got.spans[i].text, want.spans[i].text);
+      EXPECT_EQ(got.spans[i].begin, want.spans[i].begin);
+      EXPECT_EQ(got.spans[i].end, want.spans[i].end);
+      EXPECT_EQ(got.spans[i].collisions, want.spans[i].collisions);
+    }
+  }
+  EXPECT_EQ(parent.used(), 0u);
 }
 
 TEST_F(SearchBatchTest, ZeroBudgetDisablesCaching) {
