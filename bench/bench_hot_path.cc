@@ -3,7 +3,10 @@
 // Measures each rewritten kernel against its reference oracle
 // (src/query/reference/): the IntervalScan sweep on Zipfian-skewed
 // intervals, CollisionCount, block varint decode of compressed posting
-// runs, the (text, l) window sort, the (text, begin) span-key sort, and
+// runs, pass 1 over a Zipfian list set (distinct-list filter against the
+// old sort-everything grouping), the radix sort on (text, l) window keys
+// (the query path no longer sorts windows; the row measures RadixSortByKey
+// on the widest keys it is used for), the (text, begin) span-key sort, and
 // end-to-end query QPS over an in-memory index. Before any timing, every
 // kernel's output is verified against the oracle on the bench input —
 // a mismatch exits 1, which is what the nightly CI step keys on.
@@ -32,6 +35,7 @@
 #include "query/interval_scan.h"
 #include "query/radix_sort.h"
 #include "query/reference/reference_kernels.h"
+#include "query/searcher.h"
 
 namespace ndss {
 namespace {
@@ -300,6 +304,102 @@ void BenchDecode(bool quick, std::vector<KernelReport>* kernels) {
   }
 }
 
+// ---- pass 1 --------------------------------------------------------------
+
+/// A Zipfian pass-1 list set shaped like a query's short lists: each list
+/// draws texts Zipf(s = 1.0), so a few texts have many windows in it, but
+/// every list ranks texts by its own permutation (lists belong to different
+/// tokens), so few texts recur across lists. `planted` near-duplicate texts
+/// sit in every list with overlapping windows, so CollisionCount finds
+/// rectangles. Lists are sorted by (text, l), and a text's windows in one
+/// list occupy disjoint slots, so no sequence lies in two windows of one
+/// list (as in a real index).
+std::vector<std::vector<PostedWindow>> MakeZipfianLists(size_t num_lists,
+                                                        size_t per_list,
+                                                        uint32_t planted,
+                                                        uint64_t seed) {
+  constexpr uint32_t kTextBits = 16;
+  constexpr uint32_t kTextMask = (1u << kTextBits) - 1;
+  Rng rng(seed);
+  ZipfSampler zipf(kTextMask + 1, 1.0);
+  std::vector<std::vector<PostedWindow>> lists(num_lists);
+  for (std::vector<PostedWindow>& list : lists) {
+    // An odd multiplier and an offset permute the 2^16 text ids per list.
+    const uint32_t multiplier = 2 * static_cast<uint32_t>(rng.Uniform(1u << 15)) + 1;
+    const uint32_t offset = static_cast<uint32_t>(rng.Uniform(kTextMask + 1));
+    std::vector<uint32_t> next_slot(kTextMask + 1, 0);
+    list.reserve(per_list + planted);
+    for (size_t i = 0; i < per_list; ++i) {
+      const uint32_t rank = static_cast<uint32_t>(zipf.Sample(rng));
+      const uint32_t text = (rank * multiplier + offset) & kTextMask;
+      const uint32_t l = 64 * next_slot[text]++ +
+                         static_cast<uint32_t>(rng.Uniform(6));
+      const uint32_t c = l + static_cast<uint32_t>(rng.Uniform(12));
+      const uint32_t r = c + static_cast<uint32_t>(rng.Uniform(20));
+      list.push_back(PostedWindow{text, l, c, r});
+    }
+    for (uint32_t p = 0; p < planted; ++p) {
+      const uint32_t l = static_cast<uint32_t>(rng.Uniform(4));
+      const uint32_t c = 8 + static_cast<uint32_t>(rng.Uniform(4));
+      const uint32_t r = 40 + static_cast<uint32_t>(rng.Uniform(4));
+      list.push_back(PostedWindow{kTextMask + 1 + p, l, c, r});
+    }
+    std::sort(list.begin(), list.end(),
+              [](const PostedWindow& a, const PostedWindow& b) {
+                return a.text != b.text ? a.text < b.text : a.l < b.l;
+              });
+  }
+  return lists;
+}
+
+bool SameMatches(const std::vector<Pass1Match>& a,
+                 const std::vector<Pass1Match>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].text != b[i].text || a[i].windows != b[i].windows ||
+        a[i].rects != b[i].rects) {
+      return false;
+    }
+  }
+  return true;
+}
+
+KernelReport BenchPass1(bool quick) {
+  const size_t num_lists = 14;
+  const size_t per_list = quick ? 1000 : 4000;
+  const uint32_t beta1 = 10;
+  const int iters = quick ? 10 : 30;
+  const std::vector<std::vector<PostedWindow>> data =
+      MakeZipfianLists(num_lists, per_list, 2, 5);
+  const std::vector<std::span<const PostedWindow>> lists(data.begin(),
+                                                         data.end());
+
+  std::vector<Pass1Match> fast, ref;
+  if (!ScanShortLists(lists, beta1, nullptr, nullptr, &fast).ok() ||
+      !reference::Pass1(lists, beta1, &ref).ok() || fast.empty() ||
+      !SameMatches(fast, ref)) {
+    FailEquivalence("pass1");
+  }
+
+  uint64_t items = 0;
+  for (const std::vector<PostedWindow>& list : data) items += list.size();
+  KernelReport report{"pass1", items, iters, {}, {}};
+  std::vector<Pass1Match> out;
+  report.fast = TimeIterations(iters, [&] {
+    out.clear();
+    if (!ScanShortLists(lists, beta1, nullptr, nullptr, &out).ok()) {
+      return uint64_t{0};
+    }
+    return static_cast<uint64_t>(out.size());
+  });
+  report.ref = TimeIterations(iters, [&] {
+    out.clear();
+    if (!reference::Pass1(lists, beta1, &out).ok()) return uint64_t{0};
+    return static_cast<uint64_t>(out.size());
+  });
+  return report;
+}
+
 // ---- sorts ---------------------------------------------------------------
 
 KernelReport BenchWindowSort(bool quick) {
@@ -458,6 +558,8 @@ int Run(int argc, char** argv) {
   kernels.push_back(BenchCollisionCount(quick));
   PrintKernel(kernels.back());
   BenchDecode(quick, &kernels);
+  kernels.push_back(BenchPass1(quick));
+  PrintKernel(kernels.back());
   kernels.push_back(BenchWindowSort(quick));
   PrintKernel(kernels.back());
   kernels.push_back(BenchSpanSort(quick));

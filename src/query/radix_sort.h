@@ -4,17 +4,19 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace ndss {
 
-/// Stable LSD radix sort of `items` by a 64-bit key, used by the query hot
-/// path for endpoint, window, and span ordering. Sort keys there are
+/// Stable LSD radix sort of `items` by an unsigned integer key (64 or 32
+/// bits: one byte digit per key byte), used by the query hot path for
+/// endpoint, text-id, window, and span ordering. Sort keys there are
 /// coordinates bounded by sequence/text-id magnitudes, not 2^64, so most of
-/// the eight byte digits never vary; a single histogram pass over all eight
-/// digit positions detects the constant ones and only the varying digits
-/// pay a distribution pass. Ties keep their input order (stable), which
-/// makes the result deterministic where std::sort's is not.
+/// the byte digits never vary; a single histogram pass over all digit
+/// positions detects the constant ones and only the varying digits pay a
+/// distribution pass. Ties keep their input order (stable), which makes the
+/// result deterministic where std::sort's is not.
 ///
 /// `key(item)` must be pure (called multiple times per item). `scratch` is
 /// ping-pong storage, resized as needed; pass a reused vector to amortize
@@ -29,11 +31,16 @@ void RadixSortByKey(std::vector<T>* items, KeyFn key,
                      [&key](const T& a, const T& b) { return key(a) < key(b); });
     return;
   }
-  // One pass builds all eight digit histograms.
-  size_t hist[8][256] = {};
+  using Key = std::invoke_result_t<KeyFn&, const T&>;
+  static_assert(std::is_unsigned_v<Key> && (sizeof(Key) == 4 ||
+                                            sizeof(Key) == 8),
+                "RadixSortByKey keys are 32- or 64-bit unsigned integers");
+  constexpr int kDigits = sizeof(Key);
+  // One pass builds every digit's histogram.
+  size_t hist[kDigits][256] = {};
   for (const T& item : *items) {
     const uint64_t k = key(item);
-    for (int digit = 0; digit < 8; ++digit) {
+    for (int digit = 0; digit < kDigits; ++digit) {
       ++hist[digit][(k >> (8 * digit)) & 0xff];
     }
   }
@@ -41,7 +48,7 @@ void RadixSortByKey(std::vector<T>* items, KeyFn key,
   T* src = items->data();
   T* dst = scratch->data();
   bool in_items = true;
-  for (int digit = 0; digit < 8; ++digit) {
+  for (int digit = 0; digit < kDigits; ++digit) {
     size_t* counts = hist[digit];
     // A digit every key agrees on permutes nothing; skip its pass.
     bool varies = false;

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/query_context.h"
+#include "query/radix_sort.h"
 
 namespace ndss {
 namespace reference {
@@ -154,6 +155,33 @@ const char* DecodeWindowRun(const char* p, const char* limit,
   }
   *decoded = n;
   return p;
+}
+
+Status Pass1(std::span<const std::span<const PostedWindow>> lists,
+             uint32_t beta1, std::vector<Pass1Match>* out) {
+  std::vector<PostedWindow> windows;
+  for (std::span<const PostedWindow> list : lists) {
+    windows.insert(windows.end(), list.begin(), list.end());
+  }
+  RadixSortByKey(&windows, [](const PostedWindow& w) {
+    return (static_cast<uint64_t>(w.text) << 32) | w.l;
+  });
+  size_t i = 0;
+  while (i < windows.size()) {
+    size_t j = i;
+    while (j < windows.size() && windows[j].text == windows[i].text) ++j;
+    // A group smaller than beta1 cannot reach beta1 collisions.
+    if (j - i >= beta1) {
+      Pass1Match match;
+      match.text = windows[i].text;
+      match.windows.assign(windows.begin() + i, windows.begin() + j);
+      NDSS_RETURN_NOT_OK(
+          ndss::CollisionCount(match.windows, beta1, &match.rects));
+      if (!match.rects.empty()) out->push_back(std::move(match));
+    }
+    i = j;
+  }
+  return Status::OK();
 }
 
 void SortWindows(std::vector<PostedWindow>* windows) {

@@ -9,6 +9,7 @@
 #include "index/posting.h"
 #include "query/collision_count.h"
 #include "query/interval_scan.h"
+#include "query/searcher.h"
 
 namespace ndss {
 
@@ -52,7 +53,16 @@ const char* DecodeWindowRun(const char* p, const char* limit,
                             uint64_t max_windows, PostedWindow* out,
                             uint64_t* decoded);
 
-/// The searcher's pass-1 window order — (text, l) — by std::stable_sort.
+/// Pass 1 as the searcher ran it before the distinct-list filter:
+/// concatenate the scanned lists, radix-sort every window by (text, l),
+/// drop texts with fewer than `beta1` windows and run ndss::CollisionCount
+/// on the rest. Same output contract as ndss::ScanShortLists, whose
+/// distinct-list filter and in-place gathering it pins.
+Status Pass1(std::span<const std::span<const PostedWindow>> lists,
+             uint32_t beta1, std::vector<Pass1Match>* out);
+
+/// The (text, l) window order reference::Pass1 sorts by, via
+/// std::stable_sort.
 void SortWindows(std::vector<PostedWindow>* windows);
 
 /// The span-merge order — (text, begin) — by std::stable_sort, applied to

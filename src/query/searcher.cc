@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ranges>
 
 #include "common/logging.h"
 #include "common/retry.h"
@@ -237,40 +238,6 @@ uint64_t Searcher::ListCountPercentile(double fraction) const {
   return 0;  // every list can be long without exceeding the budget
 }
 
-namespace {
-
-/// Collision totals can never reach beta for a text whose group is smaller,
-/// so groups below the threshold are skipped without running Algorithm 4.
-struct TextGroup {
-  TextId text;
-  std::vector<PostedWindow> windows;
-};
-
-void GroupByText(std::vector<PostedWindow>& windows,
-                 std::vector<TextGroup>* groups, uint32_t min_size) {
-  // (text, l) order as one radix pass over packed 64-bit keys; for the
-  // Zipfian pass-1 window counts this sort dominated the CPU profile.
-  // CollisionCount's output is invariant to the order of same-(text, l)
-  // windows, so the stability change from std::sort is unobservable.
-  RadixSortByKey(&windows, [](const PostedWindow& w) {
-    return (static_cast<uint64_t>(w.text) << 32) | w.l;
-  });
-  size_t i = 0;
-  while (i < windows.size()) {
-    size_t j = i;
-    while (j < windows.size() && windows[j].text == windows[i].text) ++j;
-    if (j - i >= min_size) {
-      TextGroup group;
-      group.text = windows[i].text;
-      group.windows.assign(windows.begin() + i, windows.begin() + j);
-      groups->push_back(std::move(group));
-    }
-    i = j;
-  }
-}
-
-}  // namespace
-
 std::vector<MatchSpan> MergeRectangles(
     std::vector<TextMatchRectangle> rectangles, uint32_t t, uint32_t k) {
   std::vector<MatchSpan> spans;
@@ -301,6 +268,65 @@ std::vector<MatchSpan> MergeRectangles(
     }
   }
   return spans;
+}
+
+Status ScanShortLists(std::span<const std::span<const PostedWindow>> lists,
+                      uint32_t beta1, const QueryContext* ctx,
+                      ScopedMemoryCharge* arena,
+                      std::vector<Pass1Match>* out) {
+  if (beta1 == 0) {
+    return Status::InvalidArgument("pass-1 threshold beta1 must be >= 1");
+  }
+  // Distinct lists per text: each list is sorted by (text, l), so its run
+  // heads name its distinct texts exactly once. Counted first so the head
+  // array and its sort scratch are charged before they are allocated.
+  size_t num_heads = 0;
+  for (std::span<const PostedWindow> list : lists) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      num_heads += i == 0 || list[i].text != list[i - 1].text;
+    }
+  }
+  if (arena != nullptr) {
+    NDSS_RETURN_NOT_OK(arena->Charge(2 * num_heads * sizeof(TextId)));
+  }
+  std::vector<TextId> heads;
+  heads.reserve(num_heads);
+  for (std::span<const PostedWindow> list : lists) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i == 0 || list[i].text != list[i - 1].text) {
+        heads.push_back(list[i].text);
+      }
+    }
+  }
+  RadixSortByKey(&heads, [](TextId text) { return text; });
+
+  // Survivors ascend, so each list's search resumes where the previous
+  // survivor's run ended.
+  std::vector<size_t> cursors(lists.size(), 0);
+  for (size_t i = 0, j = 0; i < heads.size(); i = j) {
+    const TextId text = heads[i];
+    while (j < heads.size() && heads[j] == text) ++j;
+    if (j - i < beta1) continue;
+    Pass1Match match;
+    match.text = text;
+    for (size_t li = 0; li < lists.size(); ++li) {
+      const auto run = std::ranges::equal_range(
+          lists[li].subspan(cursors[li]), text, {}, &PostedWindow::text);
+      cursors[li] = static_cast<size_t>(run.end() - lists[li].begin());
+      if (arena != nullptr) {
+        NDSS_RETURN_NOT_OK(arena->Charge(run.size() * sizeof(PostedWindow)));
+      }
+      match.windows.insert(match.windows.end(), run.begin(), run.end());
+    }
+    // Runs were appended in list order, so a stable sort by l yields the
+    // (text, l) order of one stable sort over the concatenated lists.
+    RadixSortByKey(&match.windows,
+                   [](const PostedWindow& w) { return w.l; });
+    NDSS_RETURN_NOT_OK(
+        CollisionCount(match.windows, beta1, &match.rects, ctx));
+    if (!match.rects.empty()) out->push_back(std::move(match));
+  }
+  return Status::OK();
 }
 
 Result<SearchResult> Searcher::Search(std::span<const Token> query,
@@ -609,16 +635,25 @@ Status Searcher::SearchOnce(std::span<const Token> query,
   // Pass 1: scan the short lists fully, through the list cache if one is
   // active (one loader reads a list; every other user shares its windows).
   // A hit counts as a cache_hit on a batch-scoped cache and as a
-  // shared_cache_hit on the cross-query cache.
+  // shared_cache_hit on the cross-query cache. Lists are used in place: a
+  // cache entry stays pinned by `held` (entries are immutable once loaded,
+  // so eviction cannot free one a query holds), and a direct read lands in
+  // `direct` at a recorded offset.
   uint32_t& hits = cache_owner == kBatchScopedOwner
                        ? result.stats.cache_hits
                        : result.stats.shared_cache_hits;
+  struct HeldList {
+    std::shared_ptr<CrossQueryListCache::Entry> entry;  ///< null: direct
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  std::vector<HeldList> held;
+  held.reserve(short_lists.size());
+  std::vector<PostedWindow> direct;
   Stopwatch io;
-  std::vector<PostedWindow> windows;
   for (const ListRef& ref : short_lists) {
-    // Per-list checkpoint, plus the arena charge for the windows this list
-    // appends below (exact: cached copy and direct read both append
-    // `count` windows).
+    // Per-list checkpoint, plus the arena charge for the list this query
+    // holds (a pinned cache entry or its slice of `direct`).
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     NDSS_RETURN_NOT_OK(
         arena.Charge(ref.meta->count * sizeof(PostedWindow)));
@@ -644,14 +679,14 @@ Status Searcher::SearchOnce(std::span<const Token> query,
         cache->Commit(key, entry);
       });
       if (entry->status.ok()) {
-        windows.insert(windows.end(), entry->windows.begin(),
-                       entry->windows.end());
         if (!loaded_here) {
           // The hit belongs to the query that avoided the read; the
           // loader already counted the miss and its io_bytes.
           ++hits;
           cache->RecordHit();
         }
+        const size_t count = entry->windows.size();
+        held.push_back({std::move(entry), 0, count});
         continue;
       }
       // Failed loads never stay cached: drop the key (iff it still maps to
@@ -668,42 +703,45 @@ Status Searcher::SearchOnce(std::span<const Token> query,
       // entry and this query reads the list directly below.
       if (loaded_here) return entry->status;
     }
-    Status read = ReadListRetrying(sources[ref.func], *ref.meta, &windows,
+    const size_t begin = direct.size();
+    Status read = ReadListRetrying(sources[ref.func], *ref.meta, &direct,
                                    &io_bytes, ctx, options.read_retry);
     if (!read.ok()) {
       if (read.IsCorruption()) *failed_func = ref.func;
       return read;
     }
+    held.push_back({nullptr, begin, direct.size()});
   }
   result.stats.io_seconds += io.ElapsedSeconds();
-  result.stats.windows_scanned += windows.size();
 
   cpu.Restart();
-  // Grouping copies (at most) every pass-1 window into its text's group.
-  NDSS_RETURN_NOT_OK(arena.Charge(windows.size() * sizeof(PostedWindow)));
-  std::vector<TextGroup> groups;
-  GroupByText(windows, &groups, beta1);
-  std::vector<MatchRectangle> rects;
-  std::vector<TextGroup> candidates;
-  for (TextGroup& group : groups) {
-    rects.clear();
-    NDSS_RETURN_NOT_OK(CollisionCount(group.windows, beta1, &rects, ctx));
-    if (rects.empty()) continue;
-    if (long_lists.empty()) {
-      // No second pass: these rectangles are final.
-      for (const MatchRectangle& r : rects) {
-        result.rectangles.push_back({group.text, r});
+  // `direct` no longer grows, so its slices are stable from here on.
+  std::vector<std::span<const PostedWindow>> lists;
+  lists.reserve(held.size());
+  for (const HeldList& list : held) {
+    const std::vector<PostedWindow>& windows =
+        list.entry != nullptr ? list.entry->windows : direct;
+    lists.emplace_back(windows.data() + list.begin, list.end - list.begin);
+    result.stats.windows_scanned += list.end - list.begin;
+  }
+  std::vector<Pass1Match> matches;
+  NDSS_RETURN_NOT_OK(ScanShortLists(lists, beta1, ctx, &arena, &matches));
+  if (long_lists.empty()) {
+    // No second pass: these rectangles are final.
+    for (const Pass1Match& match : matches) {
+      for (const MatchRectangle& r : match.rects) {
+        result.rectangles.push_back({match.text, r});
       }
-    } else {
-      candidates.push_back(std::move(group));
     }
+    matches.clear();
   }
   result.stats.cpu_seconds += cpu.ElapsedSeconds();
 
   // Pass 2: candidates probe the long lists through zone maps, then rerun
   // CollisionCount with the full threshold beta.
-  result.stats.candidate_texts = candidates.size();
-  for (TextGroup& group : candidates) {
+  result.stats.candidate_texts = matches.size();
+  std::vector<MatchRectangle> rects;
+  for (Pass1Match& group : matches) {
     // Per-candidate checkpoint (probes themselves re-check per segment).
     NDSS_RETURN_NOT_OK(CheckQueryContext(ctx));
     io.Restart();

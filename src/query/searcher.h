@@ -373,6 +373,30 @@ class Searcher {
   std::unique_ptr<DegradedState> degraded_;
 };
 
+/// A text that survives pass 1: its windows from the scanned lists in
+/// (l) order (ties in list order) and the rectangles CollisionCount found
+/// in them at the pass-1 threshold.
+struct Pass1Match {
+  TextId text = 0;
+  std::vector<PostedWindow> windows;
+  std::vector<MatchRectangle> rects;
+};
+
+/// Pass 1 of Algorithm 3 over the fully scanned lists, each sorted by
+/// (text, l) as stored and each from a distinct hash function. A sequence
+/// lies in at most one compact window per function, so a text present in
+/// fewer than `beta1` of the lists cannot reach `beta1` collisions and is
+/// dropped before any of its windows is touched: the lists' run heads are
+/// counted per text. Each surviving text's runs are gathered from the
+/// lists in place (binary search, list order), stable-sorted by l and fed
+/// to CollisionCount at `beta1`; texts whose group yields rectangles are
+/// appended to `out` in ascending text order. `arena` (nullable) is
+/// charged for the head array and the gathered groups; `ctx` governs
+/// CollisionCount. `beta1` == 0 is InvalidArgument.
+Status ScanShortLists(std::span<const std::span<const PostedWindow>> lists,
+                      uint32_t beta1, const QueryContext* ctx,
+                      ScopedMemoryCharge* arena, std::vector<Pass1Match>* out);
+
 /// Merges all rectangles of `rectangles` (any text order) into disjoint
 /// per-text spans, keeping only sequences of length >= t. Exposed for tests.
 std::vector<MatchSpan> MergeRectangles(

@@ -3,23 +3,33 @@
 // inputs, each checked for exact agreement. The regimes deliberately hit
 // the historical failure modes — same-coordinate endpoint pileups, alpha=1,
 // duplicate interval ids, and intervals touching UINT32_MAX (the end + 1
-// wraparound bug).
+// wraparound bug). The pass-1 test runs whole searches over real indexes
+// against a search built on the reference pass 1.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/coding.h"
 #include "common/random.h"
+#include "corpusgen/zipf.h"
+#include "corpusgen/synthetic.h"
+#include "index/index_builder.h"
+#include "index/index_meta.h"
+#include "index/inverted_index_reader.h"
 #include "index/varint_block.h"
 #include "query/collision_count.h"
+#include "query/cost_model.h"
 #include "query/interval_scan.h"
 #include "query/radix_sort.h"
 #include "query/reference/reference_kernels.h"
+#include "query/searcher.h"
 
 namespace ndss {
 namespace {
@@ -165,6 +175,19 @@ TEST(IntervalScanPropertyTest, RadixSortMatchesStableSort) {
     // Both sorts are stable, so the payloads must agree exactly, not just
     // the keys.
     EXPECT_EQ(fast, oracle) << "trial " << trial;
+
+    // A 32-bit key sorts on four digits; the low halves of the wide keys
+    // above tie often, so stability shows.
+    const auto low = [](const std::pair<uint64_t, uint32_t>& p) {
+      return static_cast<uint32_t>(p.first);
+    };
+    RadixSortByKey(&fast, low);
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [&low](const std::pair<uint64_t, uint32_t>& a,
+                            const std::pair<uint64_t, uint32_t>& b) {
+                       return low(a) < low(b);
+                     });
+    EXPECT_EQ(fast, oracle) << "trial " << trial << " (32-bit key)";
   }
 }
 
@@ -374,6 +397,295 @@ TEST(IntervalScanPropertyTest, BlockDecodeRejectsOverlongVarint) {
           << d.name << " valid_prefix " << valid_prefix;
     }
   }
+}
+
+
+// ---- pass 1 ----------------------------------------------------------------
+
+// Pass-1 output has no ordering freedom: the same texts in the same order,
+// each with the same window order and the same rectangles.
+void ExpectSameMatches(const std::vector<Pass1Match>& fast,
+                       const std::vector<Pass1Match>& oracle,
+                       const std::string& label) {
+  ASSERT_EQ(fast.size(), oracle.size()) << label;
+  for (size_t m = 0; m < fast.size(); ++m) {
+    EXPECT_EQ(fast[m].text, oracle[m].text) << label << " match " << m;
+    EXPECT_EQ(fast[m].windows, oracle[m].windows) << label << " match " << m;
+    EXPECT_EQ(fast[m].rects, oracle[m].rects) << label << " match " << m;
+  }
+}
+
+// What Search reports, recomputed around the reference pass 1.
+struct ReferenceAnswer {
+  std::vector<TextMatchRectangle> rectangles;
+  uint32_t short_lists = 0;
+  uint32_t long_lists = 0;
+  uint64_t windows_scanned = 0;
+  uint64_t candidate_texts = 0;
+};
+
+// Algorithm 3 with reference::Pass1: the searcher's list classification
+// (length threshold or cost model, then demotion of the shortest long
+// lists), the reference pass 1 over the short lists, and zone-map probes
+// of the long lists with CollisionCount at beta for every candidate. On the
+// way it checks ScanShortLists against reference::Pass1 on the same lists.
+ReferenceAnswer ReferenceSearch(std::vector<InvertedIndexReader>& readers,
+                                const SketchScheme& scheme,
+                                std::span<const Token> query,
+                                const SearchOptions& options,
+                                const std::string& label) {
+  const uint32_t k = static_cast<uint32_t>(readers.size());
+  const uint32_t beta = std::min<uint32_t>(
+      k, static_cast<uint32_t>(std::ceil(options.theta * k)));
+  const MinHashSketch sketch =
+      ComputeSketch(scheme, query.data(), query.size());
+  std::vector<const ListMeta*> metas(k, nullptr);
+  std::vector<uint64_t> counts(k, 0);
+  for (uint32_t f = 0; f < k; ++f) {
+    metas[f] = readers[f].FindList(sketch.argmin_tokens[f]);
+    if (metas[f] != nullptr) counts[f] = metas[f]->count;
+  }
+  std::vector<bool> deferred(k, false);
+  if (options.use_prefix_filter && options.use_cost_model) {
+    deferred = SelectDeferredLists(counts, beta, sizeof(PostedWindow),
+                                   options.cost_model);
+  } else if (options.use_prefix_filter) {
+    for (uint32_t f = 0; f < k; ++f) {
+      deferred[f] = counts[f] > options.long_list_threshold;
+    }
+  }
+  using Ref = std::pair<uint32_t, const ListMeta*>;
+  std::vector<Ref> short_refs, long_refs;
+  for (uint32_t f = 0; f < k; ++f) {
+    if (metas[f] == nullptr) continue;
+    (deferred[f] ? long_refs : short_refs).push_back({f, metas[f]});
+  }
+  if (long_refs.size() > beta - 1) {
+    std::sort(long_refs.begin(), long_refs.end(),
+              [](const Ref& a, const Ref& b) {
+                return a.second->count < b.second->count;
+              });
+    const size_t demote = long_refs.size() - (beta - 1);
+    short_refs.insert(short_refs.end(), long_refs.begin(),
+                      long_refs.begin() + demote);
+    long_refs.erase(long_refs.begin(), long_refs.begin() + demote);
+  }
+  const uint32_t beta1 = beta - static_cast<uint32_t>(long_refs.size());
+
+  ReferenceAnswer answer;
+  answer.short_lists = static_cast<uint32_t>(short_refs.size());
+  answer.long_lists = static_cast<uint32_t>(long_refs.size());
+  std::vector<std::vector<PostedWindow>> data(short_refs.size());
+  std::vector<std::span<const PostedWindow>> lists;
+  for (size_t i = 0; i < short_refs.size(); ++i) {
+    EXPECT_TRUE(readers[short_refs[i].first]
+                    .ReadList(*short_refs[i].second, &data[i])
+                    .ok());
+    lists.emplace_back(data[i]);
+    answer.windows_scanned += data[i].size();
+  }
+  std::vector<Pass1Match> matches, fast;
+  EXPECT_TRUE(reference::Pass1(lists, beta1, &matches).ok()) << label;
+  EXPECT_TRUE(ScanShortLists(lists, beta1, nullptr, nullptr, &fast).ok())
+      << label;
+  ExpectSameMatches(fast, matches, label + " pass1");
+  if (long_refs.empty()) {
+    for (const Pass1Match& match : matches) {
+      for (const MatchRectangle& r : match.rects) {
+        answer.rectangles.push_back({match.text, r});
+      }
+    }
+    return answer;
+  }
+  answer.candidate_texts = matches.size();
+  for (Pass1Match& match : matches) {
+    for (const Ref& ref : long_refs) {
+      EXPECT_TRUE(readers[ref.first]
+                      .ReadWindowsForText(*ref.second, match.text,
+                                          &match.windows)
+                      .ok());
+    }
+    answer.windows_scanned += match.windows.size();
+    std::vector<MatchRectangle> rects;
+    EXPECT_TRUE(CollisionCount(match.windows, beta, &rects).ok()) << label;
+    for (const MatchRectangle& r : rects) {
+      answer.rectangles.push_back({match.text, r});
+    }
+  }
+  return answer;
+}
+
+TEST(IntervalScanPropertyTest, Pass1MatchesReferenceSearch) {
+  const std::string dir = ::testing::TempDir() + "/ndss_pass1_property";
+  std::filesystem::remove_all(dir);
+
+  SyntheticCorpusOptions corpus_options;
+  corpus_options.num_texts = 70;
+  corpus_options.min_text_length = 40;
+  corpus_options.max_text_length = 160;
+  corpus_options.vocab_size = 180;  // small, skewed vocab: long lists
+  corpus_options.zipf_exponent = 1.1;
+  corpus_options.plant_rate = 0.4;
+  corpus_options.min_plant_length = 25;
+  corpus_options.max_plant_length = 60;
+  corpus_options.seed = 4141;
+  const SyntheticCorpus sc = GenerateSyntheticCorpus(corpus_options);
+
+  // Queries are perturbed corpus spans. The corpus then gains texts that
+  // repeat each query's tokens — the query three times over, every token
+  // doubled, and one token 60 times — so one list holds many windows of a
+  // text, the case the distinct-list count must not confuse with many
+  // lists.
+  Rng rng(8088);
+  std::vector<std::vector<Token>> queries;
+  for (int q = 0; q < 6; ++q) {
+    const TextId source = static_cast<TextId>(rng.Uniform(sc.corpus.num_texts()));
+    const auto text = sc.corpus.text(source);
+    const uint32_t length =
+        std::min<uint32_t>(40, static_cast<uint32_t>(text.size()));
+    queries.push_back(PerturbSequence(text, 0, length, 0.1,
+                                      corpus_options.vocab_size, rng));
+  }
+  Corpus corpus;
+  for (TextId i = 0; i < sc.corpus.num_texts(); ++i) {
+    corpus.AddText(sc.corpus.text(i));
+  }
+  for (const std::vector<Token>& query : queries) {
+    std::vector<Token> repeated, doubled;
+    for (int r = 0; r < 3; ++r) {
+      repeated.insert(repeated.end(), query.begin(), query.end());
+    }
+    for (Token token : query) {
+      doubled.push_back(token);
+      doubled.push_back(token);
+    }
+    corpus.AddText(repeated);
+    corpus.AddText(doubled);
+    corpus.AddText(std::vector<Token>(60, query[query.size() / 2]));
+  }
+
+  struct Setting {
+    uint32_t k;
+    double theta;
+    bool prefix;
+    double long_fraction;  ///< of windows in long lists (percentile)
+    bool cost_model;
+  };
+  const Setting settings[] = {
+      {8, 0.8, false, 0, false},  {8, 0.6, true, 0.10, false},
+      {16, 0.7, true, 0.30, false}, {16, 0.9, true, 0, true},
+      {5, 0.5, true, 0.20, false},  {5, 1.0, true, 0, true},
+  };
+  int searches = 0, with_rectangles = 0, with_candidates = 0;
+  for (const index_format::PostingFormat format :
+       {index_format::kFormatRaw, index_format::kFormatCompressed}) {
+    for (const Setting& setting : settings) {
+      const std::string idx = dir + "/f" + std::to_string(format) + "_k" +
+                              std::to_string(setting.k);
+      if (!std::filesystem::exists(idx)) {
+        IndexBuildOptions build;
+        build.k = setting.k;
+        build.t = 15;
+        build.zone_step = 8;
+        build.zone_threshold = 16;
+        build.posting_format = format;
+        ASSERT_TRUE(BuildIndexInMemory(corpus, idx, build).ok());
+      }
+      auto searcher = Searcher::Open(idx);
+      ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+      std::vector<InvertedIndexReader> readers;
+      for (uint32_t f = 0; f < setting.k; ++f) {
+        auto reader =
+            InvertedIndexReader::Open(IndexMeta::InvertedIndexPath(idx, f));
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        readers.push_back(std::move(*reader));
+      }
+      SearchOptions options;
+      options.theta = setting.theta;
+      options.use_prefix_filter = setting.prefix;
+      options.use_cost_model = setting.cost_model;
+      if (setting.prefix && !setting.cost_model) {
+        options.long_list_threshold =
+            searcher->ListCountPercentile(setting.long_fraction);
+      }
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::string label = "format " + std::to_string(format) +
+                                  " k " + std::to_string(setting.k) +
+                                  " theta " + std::to_string(setting.theta) +
+                                  " query " + std::to_string(q);
+        const ReferenceAnswer expect = ReferenceSearch(
+            readers, searcher->meta().Scheme(), queries[q], options, label);
+        auto got = searcher->Search(queries[q], options);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+        ASSERT_EQ(got->rectangles.size(), expect.rectangles.size()) << label;
+        for (size_t r = 0; r < expect.rectangles.size(); ++r) {
+          EXPECT_EQ(got->rectangles[r].text, expect.rectangles[r].text)
+              << label << " rect " << r;
+          EXPECT_EQ(got->rectangles[r].rect, expect.rectangles[r].rect)
+              << label << " rect " << r;
+        }
+        EXPECT_EQ(got->stats.short_lists, expect.short_lists) << label;
+        EXPECT_EQ(got->stats.long_lists, expect.long_lists) << label;
+        EXPECT_EQ(got->stats.windows_scanned, expect.windows_scanned)
+            << label;
+        EXPECT_EQ(got->stats.candidate_texts, expect.candidate_texts)
+            << label;
+        ++searches;
+        with_rectangles += !expect.rectangles.empty();
+        with_candidates += expect.candidate_texts > 0;
+      }
+    }
+  }
+  EXPECT_EQ(searches, 2 * 6 * 6);
+  // The settings must reach both the one-pass and the two-pass answer.
+  EXPECT_GT(with_rectangles, searches / 2);
+  EXPECT_GT(with_candidates, searches / 4);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IntervalScanPropertyTest, Pass1MatchesReferenceOnRandomLists) {
+  // Random list sets under the index invariant the filter relies on: each
+  // list holds, per text, windows no sequence shares (disjoint [l, r]
+  // spans), sorted by (text, l). Texts are Zipf-drawn so some appear in
+  // many lists and some many times in one.
+  Rng rng(99017);
+  ZipfSampler zipf(60, 1.1);
+  int matched = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_lists = 1 + rng.Uniform(12);
+    std::vector<std::vector<PostedWindow>> data(num_lists);
+    for (std::vector<PostedWindow>& list : data) {
+      const size_t n = rng.Uniform(trial % 5 == 0 ? 400 : 40);
+      std::vector<uint32_t> next_slot(60, 0);
+      for (size_t w = 0; w < n; ++w) {
+        const TextId text = static_cast<TextId>(zipf.Sample(rng));
+        // Slot 0 sits at the same place in every list, so a text drawn
+        // into several lists overlaps across them and rectangles appear.
+        const uint32_t base = 40 * next_slot[text]++;
+        const uint32_t l = base + static_cast<uint32_t>(rng.Uniform(6));
+        const uint32_t c = l + static_cast<uint32_t>(rng.Uniform(12));
+        const uint32_t r = c + static_cast<uint32_t>(rng.Uniform(20));
+        list.push_back(PostedWindow{text, l, c, r});
+      }
+      std::sort(list.begin(), list.end(),
+                [](const PostedWindow& a, const PostedWindow& b) {
+                  return a.text != b.text ? a.text < b.text : a.l < b.l;
+                });
+    }
+    const std::vector<std::span<const PostedWindow>> lists(data.begin(),
+                                                           data.end());
+    const uint32_t beta1 =
+        1 + static_cast<uint32_t>(rng.Uniform(num_lists));
+    std::vector<Pass1Match> fast, oracle;
+    ASSERT_TRUE(ScanShortLists(lists, beta1, nullptr, nullptr, &fast).ok());
+    ASSERT_TRUE(reference::Pass1(lists, beta1, &oracle).ok());
+    ExpectSameMatches(fast, oracle, "trial " + std::to_string(trial));
+    matched += !fast.empty();
+  }
+  EXPECT_GT(matched, 100) << "too few trials produce rectangles to test";
+  std::vector<Pass1Match> out;
+  EXPECT_TRUE(ScanShortLists({}, 0, nullptr, nullptr, &out)
+                  .IsInvalidArgument());
 }
 
 }  // namespace
