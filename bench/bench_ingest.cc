@@ -90,6 +90,10 @@ struct IngestRun {
   double spill_pause_p50_us = 0;
   double spill_pause_p99_us = 0;
   uint64_t spills = 0;
+  // Where the append time went (IngestStats, cumulative over the run).
+  double wal_seconds = 0;
+  double publish_seconds = 0;
+  double spill_seconds = 0;
 };
 
 struct CompactionRun {
@@ -158,9 +162,9 @@ int Run(int argc, char** argv) {
   // ---- sustained append throughput by batch size ----
   // The memtable spills roughly 8 times per run, so the batch latencies
   // include the inline spill pauses a real writer would see.
-  std::printf("%-10s %12s %14s %12s %12s %14s %7s\n", "batch", "docs/s",
-              "tokens/s", "app p50 us", "app p99 us", "spill p99 us",
-              "spills");
+  std::printf("%-10s %12s %14s %12s %12s %14s %7s %8s %9s %8s\n", "batch",
+              "docs/s", "tokens/s", "app p50 us", "app p99 us",
+              "spill p99 us", "spills", "wal s", "publish s", "spill s");
   std::vector<IngestRun> runs;
   for (const uint32_t batch_docs : {1u, 16u, 64u}) {
     const std::string set_dir =
@@ -212,16 +216,22 @@ int Run(int argc, char** argv) {
     run.append_p99_us = Percentile(append_us, 99);
     run.spill_pause_p50_us = Percentile(spill_us, 50);
     run.spill_pause_p99_us = Percentile(spill_us, 99);
-    run.spills = (*ingester)->stats().spills;
+    const IngestStats stats = (*ingester)->stats();
+    run.spills = stats.spills;
+    run.wal_seconds = stats.wal_seconds;
+    run.publish_seconds = stats.publish_seconds;
+    run.spill_seconds = stats.spill_seconds;
 
     GateEquivalence(*searcher, *reference, queries, options, "post-ingest");
     if (!(*ingester)->Close().ok()) return 1;
     runs.push_back(run);
-    std::printf("%-10llu %12.0f %14.0f %12.1f %12.1f %14.1f %7llu\n",
-                static_cast<unsigned long long>(run.batch_docs),
-                run.docs_per_sec, run.tokens_per_sec, run.append_p50_us,
-                run.append_p99_us, run.spill_pause_p99_us,
-                static_cast<unsigned long long>(run.spills));
+    std::printf(
+        "%-10llu %12.0f %14.0f %12.1f %12.1f %14.1f %7llu %8.3f %9.3f "
+        "%8.3f\n",
+        static_cast<unsigned long long>(run.batch_docs), run.docs_per_sec,
+        run.tokens_per_sec, run.append_p50_us, run.append_p99_us,
+        run.spill_pause_p99_us, static_cast<unsigned long long>(run.spills),
+        run.wal_seconds, run.publish_seconds, run.spill_seconds);
   }
 
   // ---- query latency while the tiers compact ----
@@ -312,6 +322,9 @@ int Run(int argc, char** argv) {
       writer.Field("spill_pause_p50_us", r.spill_pause_p50_us);
       writer.Field("spill_pause_p99_us", r.spill_pause_p99_us);
       writer.Field("spills", r.spills);
+      writer.Field("wal_seconds", r.wal_seconds);
+      writer.Field("publish_seconds", r.publish_seconds);
+      writer.Field("spill_seconds", r.spill_seconds);
       writer.EndObject();
     }
     writer.EndArray();

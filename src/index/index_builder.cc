@@ -95,15 +95,42 @@ void GenerateFunctionWindows(const Corpus& corpus, const SketchScheme& scheme,
 
 }  // namespace
 
-Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
-                                           const std::string& dir,
-                                           const IndexBuildOptions& options) {
+Status WriteIndexDir(
+    const std::string& dir, const IndexBuildOptions& options,
+    uint64_t num_texts, uint64_t total_tokens,
+    const std::function<Status(uint32_t func, InvertedIndexWriter* writer)>&
+        write_lists,
+    IndexBuildStats* stats) {
   NDSS_RETURN_NOT_OK(ValidateOptions(options));
   NDSS_RETURN_NOT_OK(CreateDirectories(dir));
   // Invalidate any previous build before the first byte is written and sweep
   // leftovers of a crashed one; the marker is re-written as the last step.
   NDSS_RETURN_NOT_OK(RemoveIndexCommitMarker(dir));
   NDSS_RETURN_NOT_OK(CleanupIndexOrphans(dir));
+  for (uint32_t func = 0; func < options.k; ++func) {
+    Stopwatch phase;
+    NDSS_ASSIGN_OR_RETURN(
+        InvertedIndexWriter writer,
+        InvertedIndexWriter::Create(IndexMeta::InvertedIndexPath(dir, func),
+                                    func, options.zone_step,
+                                    options.zone_threshold,
+                                    options.posting_format));
+    stats->io_seconds += phase.ElapsedSeconds();
+    NDSS_RETURN_NOT_OK(write_lists(func, &writer));
+    phase.Restart();
+    NDSS_RETURN_NOT_OK(writer.Finish());
+    stats->io_seconds += phase.ElapsedSeconds();
+    stats->num_windows += writer.num_windows();
+    stats->index_bytes += writer.bytes_written();
+  }
+  NDSS_RETURN_NOT_OK(MakeMeta(options, num_texts, total_tokens).Save(dir));
+  return WriteIndexCommitMarker(dir);
+}
+
+Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
+                                           const std::string& dir,
+                                           const IndexBuildOptions& options) {
+  NDSS_RETURN_NOT_OK(ValidateOptions(options));
   const SketchScheme scheme(options.sketch, options.k, options.seed);
   Stopwatch total;
   IndexBuildStats stats;
@@ -117,7 +144,7 @@ Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
   stats.generate_seconds += base_phase.ElapsedSeconds();
 
   std::vector<KeyedWindow> windows;
-  for (uint32_t func = 0; func < options.k; ++func) {
+  auto write_lists = [&](uint32_t func, InvertedIndexWriter* writer) {
     Stopwatch phase;
     windows.clear();
     GenerateFunctionWindows(corpus, scheme, base_rows, func, options,
@@ -129,23 +156,13 @@ Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
     stats.sort_seconds += phase.ElapsedSeconds();
 
     phase.Restart();
-    NDSS_ASSIGN_OR_RETURN(
-        InvertedIndexWriter writer,
-        InvertedIndexWriter::Create(IndexMeta::InvertedIndexPath(dir, func),
-                                    func, options.zone_step,
-                                    options.zone_threshold,
-                                    options.posting_format));
-    NDSS_RETURN_NOT_OK(writer.WriteSorted(windows.data(), windows.size()));
-    NDSS_RETURN_NOT_OK(writer.Finish());
+    Status written = writer->WriteSorted(windows.data(), windows.size());
     stats.io_seconds += phase.ElapsedSeconds();
-    stats.num_windows += windows.size();
-    stats.index_bytes += writer.bytes_written();
-  }
-
-  const IndexMeta meta =
-      MakeMeta(options, corpus.num_texts(), corpus.total_tokens());
-  NDSS_RETURN_NOT_OK(meta.Save(dir));
-  NDSS_RETURN_NOT_OK(WriteIndexCommitMarker(dir));
+    return written;
+  };
+  NDSS_RETURN_NOT_OK(WriteIndexDir(dir, options, corpus.num_texts(),
+                                   corpus.total_tokens(), write_lists,
+                                   &stats));
   stats.total_seconds = total.ElapsedSeconds();
   return stats;
 }

@@ -2,6 +2,7 @@
 #define NDSS_INDEX_INDEX_BUILDER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -14,6 +15,8 @@
 #include "window/window_generator.h"
 
 namespace ndss {
+
+class InvertedIndexWriter;
 
 /// Options controlling index construction (Algorithm 1 and the out-of-core
 /// hash-aggregation variant, Section 3.4).
@@ -78,6 +81,23 @@ struct IndexBuildStats {
 Result<IndexBuildStats> BuildIndexInMemory(const Corpus& corpus,
                                            const std::string& dir,
                                            const IndexBuildOptions& options);
+
+/// The write half of BuildIndexInMemory, shared with the ingest spill (which
+/// writes lists it already holds). Prepares `dir` (created if needed, the
+/// CURRENT marker removed before anything is written, leftovers of a crashed
+/// build swept); then for each function `func` in 0..k-1 creates its
+/// inverted file, calls `write_lists(func, writer)` to feed it that
+/// function's lists in key order, and finishes (fsyncs and publishes) it;
+/// then saves the meta of `num_texts` texts and `total_tokens` tokens and
+/// writes the marker last. Adds windows and index bytes to `*stats`, and the
+/// time spent creating and finishing files to `stats->io_seconds` — time
+/// inside `write_lists` is the caller's to attribute.
+Status WriteIndexDir(
+    const std::string& dir, const IndexBuildOptions& options,
+    uint64_t num_texts, uint64_t total_tokens,
+    const std::function<Status(uint32_t func, InvertedIndexWriter* writer)>&
+        write_lists,
+    IndexBuildStats* stats);
 
 /// Builds the index for a corpus file that may not fit in memory, using
 /// streaming batches and hash aggregation with disk spill partitions

@@ -1,8 +1,10 @@
 #include "index/memory_index.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/query_context.h"
+#include "index/inverted_index_writer.h"
 
 namespace ndss {
 
@@ -45,6 +47,61 @@ InMemoryInvertedIndex::InMemoryInvertedIndex(const Corpus& corpus,
     meta.list_bytes = meta.count * sizeof(PostedWindow);
     directory_.push_back(meta);
   }
+}
+
+Result<std::unique_ptr<InMemoryInvertedIndex>> InMemoryInvertedIndex::Merge(
+    const InMemoryInvertedIndex& older, const InMemoryInvertedIndex& newer) {
+  std::unique_ptr<InMemoryInvertedIndex> merged(new InMemoryInvertedIndex());
+  merged->windows_.reserve(older.windows_.size() + newer.windows_.size());
+  merged->directory_.reserve(older.directory_.size() +
+                             newer.directory_.size());
+  const std::vector<ListMeta>& a = older.directory_;
+  const std::vector<ListMeta>& b = newer.directory_;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const bool from_older =
+        j == b.size() || (i < a.size() && a[i].key <= b[j].key);
+    const bool from_newer =
+        i == a.size() || (j < b.size() && b[j].key <= a[i].key);
+    ListMeta meta;
+    meta.key = from_older ? a[i].key : b[j].key;
+    meta.list_offset = merged->windows_.size();
+    merged->directory_.push_back(meta);
+    if (from_older && from_newer) {
+      const PostedWindow& last =
+          older.windows_[a[i].list_offset + a[i].count - 1];
+      const PostedWindow& first = newer.windows_[b[j].list_offset];
+      if (last.text >= first.text) {
+        return Status::InvalidArgument(
+            "in-memory index merge: text " + std::to_string(first.text) +
+            " of the newer index does not follow text " +
+            std::to_string(last.text) + " in list " +
+            std::to_string(meta.key));
+      }
+    }
+    if (from_older) merged->AppendRun(older, a[i++]);
+    if (from_newer) merged->AppendRun(newer, b[j++]);
+  }
+  return merged;
+}
+
+void InMemoryInvertedIndex::AppendRun(const InMemoryInvertedIndex& source,
+                                      const ListMeta& meta) {
+  const PostedWindow* begin = source.windows_.data() + meta.list_offset;
+  windows_.insert(windows_.end(), begin, begin + meta.count);
+  ListMeta& open = directory_.back();
+  open.count += meta.count;
+  open.list_bytes = open.count * sizeof(PostedWindow);
+}
+
+Status InMemoryInvertedIndex::WriteLists(InvertedIndexWriter* writer) const {
+  for (const ListMeta& meta : directory_) {
+    NDSS_RETURN_NOT_OK(writer->BeginList(meta.key));
+    NDSS_RETURN_NOT_OK(
+        writer->AddWindows(windows_.data() + meta.list_offset, meta.count));
+  }
+  return Status::OK();
 }
 
 const ListMeta* InMemoryInvertedIndex::FindList(Token key) const {

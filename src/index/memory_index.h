@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "hash/hash_family.h"
 #include "index/list_source.h"
 #include "index/posting.h"
@@ -14,10 +16,12 @@
 
 namespace ndss {
 
+class InvertedIndexWriter;
+
 /// One hash function's inverted index held entirely in memory — the
 /// embedded counterpart of InvertedIndexWriter/Reader. Used when the corpus
-/// is small or ephemeral (text alignment between two documents, tests) and
-/// index files on disk would be overhead.
+/// is small or ephemeral (text alignment between two documents, the ingest
+/// memtable, tests) and index files on disk would be overhead.
 ///
 /// Lists are stored contiguously, sorted by (key, text, l); the directory
 /// carries offsets into the window array (list_offset doubles as the array
@@ -46,6 +50,21 @@ class InMemoryInvertedIndex : public InvertedListSource {
                                  family.seed()),
             func, t, method) {}
 
+  /// The index of the union of the two corpora `older` and `newer` were
+  /// built from, where every text id of `newer` exceeds every text id of
+  /// `older` (a corpus extended by a later batch). Compact windows are a
+  /// per-text property, so per key the union's list is `older`'s run
+  /// followed by `newer`'s — exactly what sorting the union with
+  /// KeyedWindowLess gives — and the result equals building over the union
+  /// in one go. Both inputs are only read; the result shares nothing with
+  /// them. InvalidArgument when a shared key's runs would interleave.
+  static Result<std::unique_ptr<InMemoryInvertedIndex>> Merge(
+      const InMemoryInvertedIndex& older, const InMemoryInvertedIndex& newer);
+
+  /// Feeds every list to `writer`, in key order — the bytes WriteSorted
+  /// would emit for the same windows.
+  Status WriteLists(InvertedIndexWriter* writer) const;
+
   using InvertedListSource::ReadList;
   using InvertedListSource::ReadWindowsForText;
 
@@ -67,6 +86,12 @@ class InMemoryInvertedIndex : public InvertedListSource {
   uint64_t num_windows() const { return windows_.size(); }
 
  private:
+  InMemoryInvertedIndex() = default;
+
+  /// Appends `meta`'s run of `source` to the list open at the back of
+  /// directory_.
+  void AppendRun(const InMemoryInvertedIndex& source, const ListMeta& meta);
+
   std::vector<PostedWindow> windows_;  // all lists, contiguous
   std::vector<ListMeta> directory_;    // list_offset = index into windows_
   std::atomic<uint64_t> bytes_served_{0};

@@ -11,7 +11,10 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "index/index_merger.h"
+#include "index/inverted_index_writer.h"
+#include "index/memory_index.h"
 #include "shard/shard_manifest.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 
@@ -133,9 +136,10 @@ Result<std::unique_ptr<Ingester>> Ingester::Open(ShardedSearcher* searcher,
   NDSS_ASSIGN_OR_RETURN(WalScan scan, RecoverWal(ingester->wal_path_));
   const uint64_t applied = searcher->applied_seqno();
   uint64_t last = applied;
+  Corpus replayed;
   for (const WalFrame& frame : scan.frames) {
     if (frame.seqno <= applied) continue;
-    ingester->delta_corpus_.AddText(frame.tokens);
+    replayed.AddText(frame.tokens);
     ++ingester->stats_.docs_replayed;
     last = frame.seqno;
   }
@@ -150,9 +154,10 @@ Result<std::unique_ptr<Ingester>> Ingester::Open(ShardedSearcher* searcher,
     NDSS_LOG(kWarning) << "WAL recovery: truncated " << scan.torn_bytes
                        << " torn byte(s) (" << scan.torn_reason << ")";
   }
-  if (!ingester->delta_corpus_.empty()) {
-    NDSS_RETURN_NOT_OK(ingester->InstallDeltaLocked());
-    ingester->stats_.delta_docs = ingester->delta_corpus_.num_texts();
+  if (!replayed.empty()) {
+    // Replay is one commit into an empty memtable.
+    NDSS_RETURN_NOT_OK(ingester->ExtendDeltaLocked(std::move(replayed)));
+    ingester->stats_.delta_docs = ingester->delta_texts_;
     ingester->stats_.delta_bytes = ingester->EstimatedDeltaBytesLocked();
   }
 
@@ -225,6 +230,7 @@ Status Ingester::CommitThrough(uint64_t target) {
     return status;
   };
 
+  const uint64_t wal_start = NowMicros();
   for (const PendingDoc& doc : batch) {
     Status appended = wal_->Append(doc.seqno, doc.tokens);
     if (!appended.ok()) return poison(appended);
@@ -237,20 +243,24 @@ Status Ingester::CommitThrough(uint64_t target) {
   if (!synced.ok()) return poison(synced);
   durable_seqno_ = batch.back().seqno;
 
-  for (const PendingDoc& doc : batch) delta_corpus_.AddText(doc.tokens);
-  NDSS_RETURN_NOT_OK(InstallDeltaLocked());
+  const uint64_t publish_start = NowMicros();
+  Corpus added;
+  for (const PendingDoc& doc : batch) added.AddText(doc.tokens);
+  NDSS_RETURN_NOT_OK(ExtendDeltaLocked(std::move(added)));
   {
     std::lock_guard<std::mutex> lk(mu_);
     visible_seqno_ = durable_seqno_;
     stats_.docs_appended += batch.size();
     stats_.last_seqno = durable_seqno_;
-    stats_.delta_docs = delta_corpus_.num_texts();
+    stats_.delta_docs = delta_texts_;
     stats_.delta_bytes = EstimatedDeltaBytesLocked();
+    stats_.wal_seconds += (publish_start - wal_start) * 1e-6;
+    stats_.publish_seconds += (NowMicros() - publish_start) * 1e-6;
   }
 
   if (EstimatedDeltaBytesLocked() >= options_.memtable_budget_bytes ||
       (options_.memtable_max_docs > 0 &&
-       delta_corpus_.num_texts() >= options_.memtable_max_docs)) {
+       delta_texts_ >= options_.memtable_max_docs)) {
     // Best-effort: the documents are already durable and visible, so a
     // failed spill must not fail the append that tripped the budget. The
     // memtable keeps serving and the next commit retries.
@@ -263,38 +273,80 @@ Status Ingester::CommitThrough(uint64_t target) {
   return Status::OK();
 }
 
-Status Ingester::InstallDeltaLocked() {
-  NDSS_ASSIGN_OR_RETURN(Searcher delta,
-                        Searcher::InMemory(delta_corpus_, options_.build));
-  delta_windows_ = delta.TotalWindows();
-  return searcher_->SetDelta(std::make_shared<Searcher>(std::move(delta)));
+Status Ingester::ExtendDeltaLocked(Corpus added) {
+  // Compact windows are generated per text, so the index of the memtable
+  // plus `added` is, per key, the memtable's run followed by `added`'s run
+  // once `added`'s ids continue after the memtable's (the MergeIndexes
+  // argument). Only `added` is hashed; the merge is a copy.
+  added.set_base_id(static_cast<TextId>(delta_texts_));
+  const IndexBuildOptions& build = options_.build;
+  const SketchScheme scheme(build.sketch, build.k, build.seed);
+  const CorpusBaseRows base_rows =
+      CorpusBaseRows::Build(scheme, added, build.num_threads);
+  std::vector<std::unique_ptr<InMemoryInvertedIndex>> indexes;
+  std::vector<const InMemoryInvertedIndex*> views;
+  uint64_t windows = 0;
+  for (uint32_t func = 0; func < build.k; ++func) {
+    auto index = std::make_unique<InMemoryInvertedIndex>(
+        added, scheme, func, build.t, build.window_method, &base_rows);
+    if (!delta_indexes_.empty()) {
+      NDSS_ASSIGN_OR_RETURN(
+          index, InMemoryInvertedIndex::Merge(*delta_indexes_[func], *index));
+    }
+    windows += index->num_windows();
+    views.push_back(index.get());
+    indexes.push_back(std::move(index));
+  }
+  const uint64_t texts = delta_texts_ + added.num_texts();
+  const uint64_t tokens = delta_tokens_ + added.total_tokens();
+  NDSS_ASSIGN_OR_RETURN(
+      Searcher next, Searcher::InMemory(std::move(indexes), build, texts,
+                                        tokens));
+  // The documents are durable, so they join the memtable even if the
+  // install below fails: the next publish or spill carries them.
+  delta_ = std::make_shared<Searcher>(std::move(next));
+  delta_indexes_ = std::move(views);
+  delta_texts_ = texts;
+  delta_tokens_ = tokens;
+  delta_windows_ = windows;
+  return searcher_->SetDelta(delta_);
 }
 
 uint64_t Ingester::EstimatedDeltaBytesLocked() const {
   // The ursadb estimated_size idiom: 16 bytes per indexed window (posting +
-  // bucket overhead) plus the 4-byte tokens of the held texts.
-  return delta_windows_ * 16 + delta_corpus_.total_tokens() * 4;
+  // bucket overhead) plus 4 bytes per document token. The memtable keeps no
+  // token copy, but a sealed shard's budget stays in the same units.
+  return delta_windows_ * 16 + delta_tokens_ * 4;
 }
 
 Status Ingester::SpillLocked() {
-  if (delta_corpus_.empty()) return Status::OK();
+  if (delta_texts_ == 0) return Status::OK();
   const uint64_t start = NowMicros();
-  auto count_failure = [this] {
+  auto count_failure = [this, start] {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.spill_failures;
+    stats_.spill_seconds += (NowMicros() - start) * 1e-6;
   };
 
   const std::string entry = SpillEntryName(durable_seqno_);
   const std::string dir = searcher_->set_dir() + "/" + entry;
-  // The crash-safe build protocol (CURRENT marker last) makes a half-built
-  // spill directory inert; a crash here leaves an orphan the next Open
-  // sweeps.
-  auto built = BuildIndexInMemory(delta_corpus_, dir, options_.build);
+  // The memtable's lists are already what a build over its documents would
+  // sort (the same windows, per key in (text, l) order), so they are written
+  // as they are. The crash-safe build protocol (CURRENT marker last) makes a
+  // half-built spill directory inert; a crash here leaves an orphan the
+  // next Open sweeps.
+  IndexBuildStats build_stats;
+  Status built = WriteIndexDir(
+      dir, options_.build, delta_texts_, delta_tokens_,
+      [this](uint32_t func, InvertedIndexWriter* writer) {
+        return delta_indexes_[func]->WriteLists(writer);
+      },
+      &build_stats);
   if (!built.ok()) {
     Status removed = RemoveDirRecursive(dir);
     (void)removed;
     count_failure();
-    return built.status();
+    return built;
   }
 
   // The manifest commit inside PromoteDelta is the atomic point: before it
@@ -310,7 +362,10 @@ Status Ingester::SpillLocked() {
     return promoted;
   }
 
-  delta_corpus_.Clear();
+  delta_.reset();
+  delta_indexes_.clear();
+  delta_texts_ = 0;
+  delta_tokens_ = 0;
   delta_windows_ = 0;
 
   // Truncating the WAL is advisory cleanup, not correctness: stale frames
@@ -330,6 +385,7 @@ Status Ingester::SpillLocked() {
   if (!reopened.ok()) {
     std::lock_guard<std::mutex> lk(mu_);
     poison_ = reopened.status();
+    stats_.spill_seconds += (NowMicros() - start) * 1e-6;
     return poison_;
   }
   wal_ = std::make_unique<WalWriter>(std::move(*reopened));
@@ -341,6 +397,7 @@ Status Ingester::SpillLocked() {
     stats_.delta_docs = 0;
     stats_.delta_bytes = 0;
     stats_.last_spill_seconds = (NowMicros() - start) * 1e-6;
+    stats_.spill_seconds += stats_.last_spill_seconds;
   }
   return Status::OK();
 }

@@ -21,6 +21,8 @@
 
 namespace ndss {
 
+class InMemoryInvertedIndex;
+
 /// Options for streaming ingestion.
 struct IngestOptions {
   /// Build parameters of the delta index and every spilled shard. Must
@@ -81,6 +83,12 @@ struct IngestStats {
   uint64_t delta_docs = 0;       ///< documents currently in the memtable
   uint64_t delta_bytes = 0;      ///< estimated memtable footprint
   double last_spill_seconds = 0;
+  // Where append time went, cumulative: WAL writes + fsyncs, publishing
+  // each commit's documents into the served memtable, and spill attempts
+  // (failed ones included).
+  double wal_seconds = 0;
+  double publish_seconds = 0;
+  double spill_seconds = 0;
 };
 
 /// Streaming ingestion for a serving shard set: the write side of the
@@ -182,15 +190,19 @@ class Ingester {
   /// visible (group commit; see class comment). Called with no locks held.
   Status CommitThrough(uint64_t target);
 
-  /// Rebuilds the delta searcher from the memtable corpus and installs it.
-  /// Caller holds pipeline_mu_.
-  Status InstallDeltaLocked();
+  /// Extends the memtable with `added` and publishes the result as the
+  /// searcher's delta. Only `added` is hashed and windowed (its text ids
+  /// continue the memtable's); each function's new lists are merged into a
+  /// fresh copy of the published ones, so a snapshot queries already hold
+  /// never changes. Caller holds pipeline_mu_.
+  Status ExtendDeltaLocked(Corpus added);
 
   /// Estimated memtable footprint (windows * 16 + tokens * 4).
   uint64_t EstimatedDeltaBytesLocked() const;
 
-  /// Seals the memtable into a shard and commits it. Caller holds
-  /// pipeline_mu_.
+  /// Seals the memtable into a shard — writing its lists as they are, the
+  /// bytes BuildIndexInMemory would write for its documents — and commits
+  /// it. Caller holds pipeline_mu_.
   Status SpillLocked();
 
   void CompactorLoop();
@@ -210,12 +222,18 @@ class Ingester {
   uint64_t visible_seqno_ = 0;  ///< durable AND searchable up to here
   IngestStats stats_;
 
-  /// Pipeline lock: serializes WAL writes/fsyncs, memtable application,
-  /// delta rebuilds, spills, and WAL truncation. Queries never take it.
+  /// Pipeline lock: serializes WAL writes/fsyncs, memtable publishes,
+  /// spills, and WAL truncation. Queries never take it.
   std::mutex pipeline_mu_;
   std::unique_ptr<WalWriter> wal_;
-  Corpus delta_corpus_;
-  uint64_t delta_windows_ = 0;   ///< of the last installed delta searcher
+  /// The memtable: the published delta searcher and its k in-memory
+  /// indexes (owned by delta_, one per function), covering the documents
+  /// acknowledged since the last spill. Replaced, never modified.
+  std::shared_ptr<Searcher> delta_;
+  std::vector<const InMemoryInvertedIndex*> delta_indexes_;
+  uint64_t delta_texts_ = 0;
+  uint64_t delta_tokens_ = 0;
+  uint64_t delta_windows_ = 0;
   uint64_t durable_seqno_ = 0;   ///< last seqno a successful fsync covered
 
   /// Background compactor.

@@ -163,20 +163,37 @@ Result<Searcher> Searcher::InMemory(const Corpus& corpus,
   // C-MinHash: one shared hashing pass feeds all k per-function builds.
   const CorpusBaseRows base_rows =
       CorpusBaseRows::Build(scheme, corpus, options.num_threads);
-  std::vector<std::unique_ptr<InvertedListSource>> sources;
-  sources.reserve(options.k);
+  std::vector<std::unique_ptr<InMemoryInvertedIndex>> indexes;
+  indexes.reserve(options.k);
   for (uint32_t func = 0; func < options.k; ++func) {
-    sources.push_back(std::make_unique<InMemoryInvertedIndex>(
+    indexes.push_back(std::make_unique<InMemoryInvertedIndex>(
         corpus, scheme, func, options.t, options.window_method, &base_rows));
   }
+  return InMemory(std::move(indexes), options, corpus.num_texts(),
+                  corpus.total_tokens());
+}
+
+Result<Searcher> Searcher::InMemory(
+    std::vector<std::unique_ptr<InMemoryInvertedIndex>> indexes,
+    const IndexBuildOptions& options, uint64_t num_texts,
+    uint64_t total_tokens) {
+  if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (options.t == 0) return Status::InvalidArgument("t must be >= 1");
+  if (indexes.size() != options.k) {
+    return Status::InvalidArgument("need one in-memory index per function");
+  }
+  std::vector<std::unique_ptr<InvertedListSource>> sources(
+      std::make_move_iterator(indexes.begin()),
+      std::make_move_iterator(indexes.end()));
   IndexMeta meta;
   meta.k = options.k;
   meta.seed = options.seed;
   meta.t = options.t;
-  meta.num_texts = corpus.num_texts();
-  meta.total_tokens = corpus.total_tokens();
+  meta.num_texts = num_texts;
+  meta.total_tokens = total_tokens;
   meta.sketch = options.sketch;
-  return Searcher(meta, scheme, std::move(sources));
+  return Searcher(meta, SketchScheme(options.sketch, options.k, options.seed),
+                  std::move(sources));
 }
 
 uint32_t Searcher::degraded_funcs() const {
@@ -186,15 +203,6 @@ uint32_t Searcher::degraded_funcs() const {
     if (sources_[func] == nullptr || degraded_->dropped[func] != 0) ++dropped;
   }
   return dropped;
-}
-
-uint64_t Searcher::TotalWindows() const {
-  uint64_t total = 0;
-  for (InvertedListSource* source : SnapshotSources()) {
-    if (source == nullptr) continue;
-    for (const ListMeta& meta : source->directory()) total += meta.count;
-  }
-  return total;
 }
 
 uint64_t Searcher::ListCountPercentile(double fraction) const {

@@ -23,6 +23,7 @@
 namespace ndss {
 
 class CrossQueryListCache;
+class InMemoryInvertedIndex;
 
 /// Options for one near-duplicate search.
 struct SearchOptions {
@@ -250,6 +251,16 @@ class Searcher {
   static Result<Searcher> InMemory(const Corpus& corpus,
                                    const IndexBuildOptions& options);
 
+  /// A searcher over k prebuilt in-memory indexes, one per function in
+  /// function order, covering `num_texts` texts of `total_tokens` tokens
+  /// built with `options` (what the overload above builds; the ingest
+  /// memtable extends its indexes per commit with
+  /// InMemoryInvertedIndex::Merge and publishes them through this).
+  static Result<Searcher> InMemory(
+      std::vector<std::unique_ptr<InMemoryInvertedIndex>> indexes,
+      const IndexBuildOptions& options, uint64_t num_texts,
+      uint64_t total_tokens);
+
   // Defined out of line: the destructor needs the complete DegradedState.
   Searcher(Searcher&&) noexcept;
   Searcher& operator=(Searcher&&) noexcept;
@@ -326,13 +337,14 @@ class Searcher {
   /// SearchOptions::long_list_threshold from a target prefix length.
   uint64_t ListCountPercentile(double fraction) const;
 
-  /// Total indexed windows across the live sources (the sum of every
-  /// directory's list counts). The ingestion memtable sizes its spill
-  /// budget from this (windows dominate an in-memory index's footprint).
-  uint64_t TotalWindows() const;
-
   /// Number of hash functions currently dropped due to corruption.
   uint32_t degraded_funcs() const;
+
+  /// The list source of function `func` (< k), dropped or not — for
+  /// inspecting an index's directory and lists.
+  InvertedListSource* list_source(uint32_t func) const {
+    return sources_[func].get();
+  }
 
  private:
   struct DegradedState;

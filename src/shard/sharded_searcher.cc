@@ -1039,6 +1039,10 @@ uint64_t ShardedSearcher::delta_texts() const {
   return topo->delta != nullptr ? topo->delta->meta().num_texts : 0;
 }
 
+std::shared_ptr<Searcher> ShardedSearcher::delta() const {
+  return state_->Snapshot()->delta;
+}
+
 const std::string& ShardedSearcher::set_dir() const {
   return state_->set_dir;
 }

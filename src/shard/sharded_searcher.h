@@ -234,6 +234,9 @@ class ShardedSearcher {
   /// Texts currently served from the delta memtable (0 when none is set).
   uint64_t delta_texts() const;
 
+  /// The delta searcher new queries will see (nullptr when none is set).
+  std::shared_ptr<Searcher> delta() const;
+
   /// The set directory this searcher serves.
   const std::string& set_dir() const;
 

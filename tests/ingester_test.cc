@@ -2,15 +2,23 @@
 // searchable and bit-identical to a batch build over the same documents,
 // across every lifecycle transition — memtable only, after spills, after
 // restarts (single and double replay), after compaction, and under injected
-// fsync and compaction failures.
+// fsync, spill and compaction failures. The memtable is extended per commit,
+// so its lists are also checked structurally (directory and every list)
+// against a from-scratch in-memory build, spilled shards byte for byte
+// against BuildIndexInMemory, and published snapshots against concurrent
+// readers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/env.h"
@@ -41,6 +49,55 @@ std::string Fingerprint(const SearchResult& result) {
         << s.collisions << ";";
   }
   return out.str();
+}
+
+/// Asserts that `actual` holds, function by function, the same directory
+/// and the same lists as `expected`.
+void ExpectSameLists(const Searcher& actual, const Searcher& expected,
+                     const std::string& context) {
+  ASSERT_EQ(actual.meta().k, expected.meta().k) << context;
+  EXPECT_EQ(actual.meta().num_texts, expected.meta().num_texts) << context;
+  EXPECT_EQ(actual.meta().total_tokens, expected.meta().total_tokens)
+      << context;
+  for (uint32_t func = 0; func < expected.meta().k; ++func) {
+    InvertedListSource* got = actual.list_source(func);
+    InvertedListSource* want = expected.list_source(func);
+    ASSERT_NE(got, nullptr) << context;
+    ASSERT_NE(want, nullptr) << context;
+    const std::vector<ListMeta>& got_dir = got->directory();
+    const std::vector<ListMeta>& want_dir = want->directory();
+    ASSERT_EQ(got_dir.size(), want_dir.size())
+        << context << " func " << func;
+    for (size_t i = 0; i < want_dir.size(); ++i) {
+      SCOPED_TRACE(context + " func " + std::to_string(func) + " list " +
+                   std::to_string(i));
+      ASSERT_EQ(got_dir[i].key, want_dir[i].key);
+      ASSERT_EQ(got_dir[i].count, want_dir[i].count);
+      ASSERT_EQ(got_dir[i].list_offset, want_dir[i].list_offset);
+      ASSERT_EQ(got_dir[i].list_bytes, want_dir[i].list_bytes);
+      std::vector<PostedWindow> got_list;
+      std::vector<PostedWindow> want_list;
+      ASSERT_TRUE(got->ReadList(got_dir[i], &got_list).ok());
+      ASSERT_TRUE(want->ReadList(want_dir[i], &want_list).ok());
+      ASSERT_EQ(got_list, want_list);
+    }
+  }
+}
+
+/// Every file of `dir`, by name.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 class IngesterTest : public ::testing::Test {
@@ -130,6 +187,32 @@ class IngesterTest : public ::testing::Test {
     }
   }
 
+  /// The in-memory build over documents [begin, end).
+  Searcher ReferenceSearcher(size_t begin, size_t end) const {
+    Corpus reference;
+    for (size_t i = begin; i < end; ++i) reference.AddText(sc_.corpus.text(i));
+    auto searcher = Searcher::InMemory(reference, build_);
+    EXPECT_TRUE(searcher.ok()) << searcher.status().ToString();
+    return std::move(*searcher);
+  }
+
+  /// Asserts the served memtable holds exactly the lists of an in-memory
+  /// build over its documents: the last delta_texts() of the first
+  /// `appended`.
+  void ExpectDeltaMatchesBuild(const ShardedSearcher& searcher,
+                               size_t appended, const std::string& context) {
+    const std::shared_ptr<Searcher> delta = searcher.delta();
+    const size_t held = searcher.delta_texts();
+    ASSERT_LE(held, appended) << context;
+    if (held == 0) {
+      EXPECT_EQ(delta, nullptr) << context;
+      return;
+    }
+    ASSERT_NE(delta, nullptr) << context;
+    ExpectSameLists(*delta, ReferenceSearcher(appended - held, appended),
+                    context);
+  }
+
   IngestOptions NoCompaction() const {
     IngestOptions options;
     options.build = build_;
@@ -169,6 +252,9 @@ TEST_F(IngesterTest, AppendsMatchBatchBuild) {
   EXPECT_EQ(stats.last_seqno, 20u);
   EXPECT_EQ(stats.delta_docs, 20u);
   EXPECT_EQ(stats.spills, 0u);
+  EXPECT_GT(stats.wal_seconds, 0.0);
+  EXPECT_GT(stats.publish_seconds, 0.0);
+  EXPECT_EQ(stats.spill_seconds, 0.0);
 }
 
 TEST_F(IngesterTest, SpillSealsShardAndResetsWal) {
@@ -185,6 +271,8 @@ TEST_F(IngesterTest, SpillSealsShardAndResetsWal) {
 
   const IngestStats stats = (*ingester)->stats();
   EXPECT_EQ(stats.spills, 3u);
+  EXPECT_GE(stats.spill_seconds, stats.last_spill_seconds);
+  EXPECT_GT(stats.last_spill_seconds, 0.0);
   EXPECT_EQ(stats.applied_seqno, 24u);
   EXPECT_EQ(stats.delta_docs, 0u);
   EXPECT_EQ(searcher->applied_seqno(), 24u);
@@ -459,6 +547,226 @@ TEST_F(IngesterTest, OrphanSweepRemovesUncommittedSpill) {
   auto ingester = Ingester::Open(&*searcher, NoCompaction());
   ASSERT_TRUE(ingester.ok()) << ingester.status().ToString();
   EXPECT_FALSE(std::filesystem::exists(orphan));
+}
+
+TEST_F(IngesterTest, MemtableListsMatchInMemoryBuildAfterEveryCommit) {
+  for (const SketchSchemeId scheme :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    for (const size_t batch_size : {size_t{1}, size_t{3}, size_t{16}}) {
+      const std::string context =
+          std::string(scheme == SketchSchemeId::kCMinHash ? "cminhash"
+                                                          : "independent") +
+          " batch " + std::to_string(batch_size);
+      SCOPED_TRACE(context);
+      std::filesystem::remove_all(set_dir_);
+      build_.sketch = scheme;
+      ASSERT_TRUE(Ingester::CreateSet(set_dir_, build_).ok());
+      auto searcher = ShardedSearcher::Open(set_dir_);
+      ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+      IngestOptions options = NoCompaction();
+      options.memtable_max_docs = 20;  // spills reset the memtable mid-run
+      auto ingester = Ingester::Open(&*searcher, options);
+      ASSERT_TRUE(ingester.ok()) << ingester.status().ToString();
+
+      const auto docs = Docs(48);
+      for (size_t i = 0; i < docs.size(); i += batch_size) {
+        const size_t end = std::min(docs.size(), i + batch_size);
+        ASSERT_TRUE(
+            (*ingester)
+                ->AppendBatch({docs.begin() + i, docs.begin() + end})
+                .ok());
+        ExpectDeltaMatchesBuild(*searcher, end,
+                                context + " after " + std::to_string(end));
+      }
+      EXPECT_GT((*ingester)->stats().spills, 0u);
+      EXPECT_GT((*ingester)->stats().delta_docs, 0u);
+      EXPECT_EQ(ShardedFingerprints(*searcher), ReferenceFingerprints(48));
+
+      // WAL replay at Open is one commit into an empty memtable.
+      ingester->reset();
+      auto reopened = ShardedSearcher::Open(set_dir_);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      auto replayed = Ingester::Open(&*reopened, options);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_GT((*replayed)->stats().docs_replayed, 0u);
+      ExpectDeltaMatchesBuild(*reopened, 48, context + " after replay");
+      EXPECT_EQ(ShardedFingerprints(*reopened), ReferenceFingerprints(48));
+    }
+  }
+}
+
+TEST_F(IngesterTest, FailedSpillKeepsMemtableAndRetries) {
+  FaultInjectionEnv fault(Env::Posix());
+  SetDefaultEnv(&fault);
+  ASSERT_TRUE(Ingester::CreateSet(set_dir_, build_).ok());
+  auto searcher = ShardedSearcher::Open(set_dir_);
+  ASSERT_TRUE(searcher.ok());
+  IngestOptions options = NoCompaction();
+  options.memtable_max_docs = 8;
+  auto ingester = Ingester::Open(&*searcher, options);
+  ASSERT_TRUE(ingester.ok());
+
+  // Every write of a spill's third inverted file fails, after the first two
+  // were written: the commits that trip the budget still succeed, and the
+  // memtable keeps growing and serving.
+  fault.SetFaultPathFilter("inverted.2.ndx");
+  fault.SetFailProbability(1.0);
+  AppendInBatches(**ingester, Docs(12), 3);
+  IngestStats stats = (*ingester)->stats();
+  EXPECT_EQ(stats.spills, 0u);
+  EXPECT_GE(stats.spill_failures, 2u);
+  EXPECT_GT(stats.spill_seconds, 0.0);
+  EXPECT_EQ(searcher->delta_texts(), 12u);
+  ExpectDeltaMatchesBuild(*searcher, 12, "after failed spills");
+  EXPECT_EQ(ShardedFingerprints(*searcher), ReferenceFingerprints(12));
+
+  // Healed, the next commit retries the spill from the same lists.
+  fault.Heal();
+  const auto docs = Docs(15);
+  ASSERT_TRUE(
+      (*ingester)->AppendBatch({docs.begin() + 12, docs.end()}).ok());
+  stats = (*ingester)->stats();
+  EXPECT_EQ(stats.spills, 1u);
+  EXPECT_EQ(searcher->delta_texts(), 0u);
+  EXPECT_EQ(searcher->meta().num_texts, 15u);
+  EXPECT_EQ(ShardedFingerprints(*searcher), ReferenceFingerprints(15));
+  ASSERT_TRUE((*ingester)->Append(Docs(16)[15]).ok());
+  ExpectDeltaMatchesBuild(*searcher, 16, "after the retried spill");
+  EXPECT_EQ(ShardedFingerprints(*searcher), ReferenceFingerprints(16));
+}
+
+TEST_F(IngesterTest, SpilledShardIsByteIdenticalToBatchBuild) {
+  for (const SketchSchemeId scheme :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    for (const index_format::PostingFormat format :
+         {index_format::kFormatRaw, index_format::kFormatCompressed}) {
+      const std::string context =
+          std::string(scheme == SketchSchemeId::kCMinHash ? "cminhash"
+                                                          : "independent") +
+          (format == index_format::kFormatRaw ? " raw" : " compressed");
+      SCOPED_TRACE(context);
+      std::filesystem::remove_all(set_dir_);
+      build_.sketch = scheme;
+      build_.posting_format = format;
+      // Small zones so the compressed lists carry restart points too.
+      build_.zone_step = 4;
+      build_.zone_threshold = 8;
+      ASSERT_TRUE(Ingester::CreateSet(set_dir_, build_).ok());
+      auto searcher = ShardedSearcher::Open(set_dir_);
+      ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+      IngestOptions options = NoCompaction();
+      options.memtable_max_docs = 8;
+      auto ingester = Ingester::Open(&*searcher, options);
+      ASSERT_TRUE(ingester.ok()) << ingester.status().ToString();
+      // Batches of 3 spill at 9 and 18 documents; Flush seals the last 6.
+      AppendInBatches(**ingester, Docs(24), 3);
+      ASSERT_TRUE((*ingester)->Flush().ok());
+      ASSERT_EQ((*ingester)->stats().spills, 3u);
+
+      size_t begin = 0;
+      for (const ShardInfo& shard : searcher->shards()) {
+        const std::string name =
+            std::filesystem::path(shard.dir).filename().string();
+        if (name.rfind("delta-", 0) != 0) {
+          begin += shard.num_texts;
+          continue;
+        }
+        const size_t end = begin + shard.num_texts;
+        Corpus docs;
+        for (size_t i = begin; i < end; ++i) docs.AddText(sc_.corpus.text(i));
+        const std::string reference_dir =
+            set_dir_ + "/reference-" + std::to_string(begin);
+        ASSERT_TRUE(BuildIndexInMemory(docs, reference_dir, build_).ok());
+        const std::vector<std::string> names = FileNames(shard.dir);
+        ASSERT_EQ(names, FileNames(reference_dir)) << name;
+        // k inverted files, index.meta and the CURRENT marker.
+        EXPECT_EQ(names.size(), build_.k + 2) << name;
+        for (const std::string& file : names) {
+          const std::string got = FileBytes(shard.dir + "/" + file);
+          const std::string want = FileBytes(reference_dir + "/" + file);
+          EXPECT_FALSE(want.empty()) << file;
+          EXPECT_TRUE(got == want)
+              << name << "/" << file << " differs from the batch build ("
+              << got.size() << " vs " << want.size() << " bytes)";
+        }
+        std::filesystem::remove_all(reference_dir);
+        begin = end;
+      }
+      EXPECT_EQ(begin, 24u);
+      EXPECT_EQ(ShardedFingerprints(*searcher), ReferenceFingerprints(24));
+    }
+  }
+}
+
+TEST_F(IngesterTest, ConcurrentReadersSeeOnlyPublishedPrefixes) {
+  // Every answer a reader gets while the writer appends must be the answer
+  // over some prefix of the documents: a published memtable snapshot shares
+  // no mutable state with the one built after it.
+  constexpr size_t kDocs = 40;
+  ASSERT_TRUE(Ingester::CreateSet(set_dir_, build_).ok());
+  auto searcher = ShardedSearcher::Open(set_dir_);
+  ASSERT_TRUE(searcher.ok());
+  IngestOptions options = NoCompaction();
+  options.memtable_max_docs = 12;
+  auto ingester = Ingester::Open(&*searcher, options);
+  ASSERT_TRUE(ingester.ok());
+
+  const std::vector<std::vector<Token>> queries = Queries();
+  // by_prefix[n][q]: query q's fingerprint over the first n documents.
+  std::vector<std::vector<std::string>> by_prefix;
+  for (size_t n = 0; n <= kDocs; ++n) {
+    by_prefix.push_back(n == 0 ? std::vector<std::string>(queries.size())
+                               : ReferenceFingerprints(n));
+  }
+
+  const auto docs = Docs(kDocs);
+  std::atomic<size_t> acked{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> answers{0};
+  std::atomic<size_t> mismatches{0};
+  std::thread reader([&] {
+    SearchOptions search;
+    search.theta = 0.5;
+    while (!done.load(std::memory_order_acquire)) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const size_t lo = acked.load(std::memory_order_acquire);
+        auto result = searcher->Search(queries[q], search);
+        // A commit is visible before AppendBatch returns: up to one batch
+        // (at most 3 documents) beyond the acknowledged count.
+        const size_t hi =
+            std::min(kDocs, acked.load(std::memory_order_acquire) + 3);
+        bool matched = false;
+        if (result.ok()) {
+          const std::string got = Fingerprint(*result);
+          for (size_t n = lo; n <= hi && !matched; ++n) {
+            matched = by_prefix[n][q] == got;
+          }
+        }
+        if (!matched) mismatches.fetch_add(1);
+        answers.fetch_add(1);
+      }
+    }
+  });
+  size_t i = 0;
+  for (size_t round = 0; i < kDocs; ++round) {
+    const size_t end = std::min(kDocs, i + 1 + round % 3);  // 1, 2, 3, ...
+    const Status appended =
+        (*ingester)->AppendBatch({docs.begin() + i, docs.begin() + end});
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    i = end;
+    acked.store(i, std::memory_order_release);
+    std::this_thread::yield();
+  }
+  // Let the reader see the final state too.
+  const size_t before = answers.load();
+  while (answers.load() < before + queries.size()) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(answers.load(), queries.size());
+  EXPECT_GT((*ingester)->stats().spills, 0u);
+  EXPECT_EQ(ShardedFingerprints(*searcher), by_prefix[kDocs]);
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "corpusgen/synthetic.h"
 #include "index/index_builder.h"
 #include "query/searcher.h"
+#include "sketch/sketch_scheme.h"
 
 namespace ndss {
 namespace {
@@ -126,6 +130,83 @@ TEST(InMemoryIndexTest, PrefixFilterPathWorksInMemory) {
   auto b = searcher->Search(query, without_filter);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->rectangles.size(), b->rectangles.size());
+}
+
+/// Asserts `a` and `b` hold the same directory and the same lists.
+void ExpectSameIndex(InMemoryInvertedIndex& a, InMemoryInvertedIndex& b) {
+  ASSERT_EQ(a.num_windows(), b.num_windows());
+  ASSERT_EQ(a.directory().size(), b.directory().size());
+  for (size_t i = 0; i < a.directory().size(); ++i) {
+    const ListMeta& x = a.directory()[i];
+    const ListMeta& y = b.directory()[i];
+    ASSERT_EQ(x.key, y.key);
+    ASSERT_EQ(x.count, y.count);
+    ASSERT_EQ(x.list_offset, y.list_offset);
+    ASSERT_EQ(x.list_bytes, y.list_bytes);
+    std::vector<PostedWindow> xs;
+    std::vector<PostedWindow> ys;
+    ASSERT_TRUE(a.ReadList(x, &xs).ok());
+    ASSERT_TRUE(b.ReadList(y, &ys).ok());
+    ASSERT_EQ(xs, ys) << "list " << x.key;
+  }
+}
+
+TEST(InMemoryIndexTest, MergeOfConsecutiveBatchesEqualsOneBuild) {
+  SyntheticCorpus sc = SmallCorpus();
+  for (const SketchSchemeId id :
+       {SketchSchemeId::kIndependent, SketchSchemeId::kCMinHash}) {
+    const SketchScheme scheme(id, 4, 99);
+    const CorpusBaseRows all_rows =
+        CorpusBaseRows::Build(scheme, sc.corpus, 1);
+    // Three batches of unequal size; each continues the ids of the last.
+    std::vector<Corpus> batches(3);
+    const size_t cuts[] = {0, 7, 8, sc.corpus.num_texts()};
+    for (size_t b = 0; b < 3; ++b) {
+      batches[b].set_base_id(static_cast<TextId>(cuts[b]));
+      for (size_t i = cuts[b]; i < cuts[b + 1]; ++i) {
+        batches[b].AddText(sc.corpus.text(i));
+      }
+    }
+    for (uint32_t func = 0; func < 4; ++func) {
+      SCOPED_TRACE("scheme " + std::to_string(static_cast<int>(id)) +
+                   " func " + std::to_string(func));
+      InMemoryInvertedIndex whole(sc.corpus, scheme, func, 12,
+                                  WindowGenMethod::kMonotonicStack,
+                                  &all_rows);
+      std::unique_ptr<InMemoryInvertedIndex> merged;
+      for (const Corpus& batch : batches) {
+        const CorpusBaseRows rows = CorpusBaseRows::Build(scheme, batch, 1);
+        auto part = std::make_unique<InMemoryInvertedIndex>(
+            batch, scheme, func, 12, WindowGenMethod::kMonotonicStack,
+            &rows);
+        if (merged == nullptr) {
+          merged = std::move(part);
+          continue;
+        }
+        auto next = InMemoryInvertedIndex::Merge(*merged, *part);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        merged = std::move(*next);
+      }
+      ExpectSameIndex(*merged, whole);
+    }
+  }
+}
+
+TEST(InMemoryIndexTest, MergeRejectsInterleavedTexts) {
+  SyntheticCorpus sc = SmallCorpus();
+  const SketchScheme scheme(SketchSchemeId::kIndependent, 1, 7);
+  InMemoryInvertedIndex index(sc.corpus, scheme, 0, 10);
+  // The same ids twice: every shared list would interleave.
+  auto merged = InMemoryInvertedIndex::Merge(index, index);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_TRUE(merged.status().IsInvalidArgument())
+      << merged.status().ToString();
+  // Merging with an empty index is a copy.
+  Corpus empty;
+  InMemoryInvertedIndex none(empty, scheme, 0, 10);
+  auto copied = InMemoryInvertedIndex::Merge(none, index);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  ExpectSameIndex(**copied, index);
 }
 
 TEST(InMemoryIndexTest, InvalidOptionsRejected) {

@@ -109,6 +109,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.delta_docs),
         static_cast<unsigned long long>(searcher->epoch()),
         searcher->shards().size());
+    std::printf(
+        "ndss_ingest: append time: wal %.3f s, publish %.3f s, "
+        "spill %.3f s\n",
+        stats.wal_seconds, stats.publish_seconds, stats.spill_seconds);
   }
   return 0;
 }
